@@ -546,7 +546,8 @@ def verify_claims(
     sat = assignment is not None
 
     result = min_transversal(inst.graph, fam)
-    assert result is not None
+    if result is None:
+        raise RuntimeError("unbudgeted min_transversal found no transversal")
     tau = result[0]
     threshold = inst.threshold
     lower_bound_ok = tau >= threshold

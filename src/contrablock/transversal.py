@@ -9,6 +9,7 @@ occurrence search with branching on the occurrence's vertices.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass
 
@@ -425,7 +426,8 @@ def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
     if res is None:
         return None
     size, picks = res
-    assert _family_occurrence(g, fam, frozenset(range(g.n)) - picks) is None
+    if _family_occurrence(g, fam, frozenset(range(g.n)) - picks) is not None:
+        raise RuntimeError("transversal leaves a pattern occurrence")
     return size, frozenset(picks)
 
 
@@ -435,7 +437,16 @@ def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
 # degree-2 vertices (merging their two edges; a resulting loop forces its
 # vertex, a parallel pair forces an endpoint choice into the branching), then
 # branch on a maximum-degree vertex in/out.  The gadget instances this must
-# handle are dominated by degree-2 vertices, so reduction does most the work.
+# handle are dominated by degree-2 vertices, so reduction does most of the
+# work.
+#
+# The reductions run off a worklist, a min-heap of vertex ids.  Whether a
+# vertex is reducible depends only on its own adjacency and on the fixed
+# forbidden set, so only a vertex whose adjacency changed (a neighbour of a
+# deleted vertex, an endpoint of a bypass) can become reducible, and every
+# vertex outside the heap is irreducible.  Popping the smallest id therefore
+# always reduces the smallest reducible vertex: the same sequence, and the
+# same residual multigraph, as a sorted rescan after every reduction.
 
 
 def _mg_from_graph(g: Graph) -> dict[int, dict[int, int]]:
@@ -465,27 +476,27 @@ def _mg_reduce(adj, forbidden) -> set[int] | None:
     """Exhaustive degree reductions; returns forced solution vertices, or
     None when a loop sits on a forbidden vertex (branch infeasible)."""
     forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if adj[v].get(v, 0):
-                if v in forbidden:
-                    return None
-                forced.add(v)
+    heap = sorted(adj)
+    queued = set(heap)
+    while heap:
+        v = heapq.heappop(heap)
+        queued.remove(v)
+        ns = adj[v]
+        if ns.get(v, 0):
+            if v in forbidden:
+                return None
+            forced.add(v)
+            touched = [w for w in ns if w != v]
+            _mg_delete(adj, v)
+        elif len(ns) > 2:
+            # loop-free, so every neighbour adds at least 1 to the degree
+            continue
+        else:
+            touched = [w for w, c in ns.items() for _ in range(c)]
+            if len(touched) <= 1:
                 _mg_delete(adj, v)
-                changed = True
-                break
-            deg = _mg_degree(adj, v)
-            if deg <= 1:
-                _mg_delete(adj, v)
-                changed = True
-                break
-            if deg == 2:
-                ends: list[int] = []
-                for w, c in adj[v].items():
-                    ends.extend([w] * c)
-                u, w = ends
+            elif len(touched) == 2:
+                u, w = touched
                 if v not in forbidden and u in forbidden and w in forbidden:
                     # bypassing commits to a solution without v, which needs a
                     # free endpoint to swap onto; leave v to the branching
@@ -497,8 +508,12 @@ def _mg_reduce(adj, forbidden) -> set[int] | None:
                     mult = min(2, adj[u].get(w, 0) + 1)
                     adj[u][w] = mult
                     adj[w][u] = mult
-                changed = True
-                break
+            else:
+                continue
+        for w in touched:
+            if w not in queued:
+                queued.add(w)
+                heapq.heappush(heap, w)
     return forced
 
 
@@ -687,7 +702,8 @@ def _oct_decide(g, alive: frozenset[int], k: int, visited) -> set[int] | None:
 def drop_given_edge(g: Graph, e, fam: HitFamily) -> bool:
     """Does contracting this one edge lower the hitting number?"""
     base = min_transversal(g, fam)
-    assert base is not None
+    if base is None:
+        raise RuntimeError("unbudgeted min_transversal found no transversal")
     size = base[0]
     if size == 0:
         return False
@@ -699,7 +715,8 @@ def find_dropping_edge(g: Graph, fam: HitFamily) -> Edge | None:
     """Lexicographically first edge whose contraction lowers the hitting
     number, or None when no edge does."""
     base = min_transversal(g, fam)
-    assert base is not None
+    if base is None:
+        raise RuntimeError("unbudgeted min_transversal found no transversal")
     size = base[0]
     if size == 0:
         return None

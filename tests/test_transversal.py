@@ -21,7 +21,7 @@ from contrablock.transversal import (
     min_transversal,
     odd_cycle_transversal,
 )
-from .conftest import brute_fvs, brute_oct, brute_vc, random_graph
+from .conftest import brute_fvs, brute_oct, brute_vc, is_forest, random_graph
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 
@@ -130,6 +130,15 @@ class TestSolvers:
             assert min_transversal(g, HitFamily.feedback_vertex_set())[0] == brute_fvs(g)
             assert min_transversal(g, HitFamily.odd_cycle_transversal())[0] == brute_oct(g)
 
+    def test_certificate_failure_raises(self, monkeypatch):
+        # the hitting certificate must survive python -O, so it cannot be an assert
+        import contrablock.transversal as tr
+
+        monkeypatch.setattr(tr, "_hit_solve", lambda *args: (0, frozenset()))
+        fam = HitFamily.explicit([complete_graph(3)], "subgraph")
+        with pytest.raises(RuntimeError, match="occurrence"):
+            min_transversal(complete_graph(3), fam)
+
     def test_hitting_set_soundness(self):
         rng = random.Random(55)
         fams = [
@@ -187,6 +196,109 @@ class TestRestrictedFvsSearch:
             got = _fvs_solve(_mg_from_graph(g), excluded, g.n)
             want = brute(g, excluded)
             assert (got[0] if got is not None else None) == want, (g.edges, excluded)
+
+
+def _reference_reduce(adj, forbidden):
+    """The sorted full rescan after every reduction, which the worklist in
+    ``_mg_reduce`` must reproduce step for step."""
+    from contrablock.transversal import _mg_degree, _mg_delete
+
+    forced = set()
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adj):
+            if adj[v].get(v, 0):
+                if v in forbidden:
+                    return None
+                forced.add(v)
+                _mg_delete(adj, v)
+                changed = True
+                break
+            deg = _mg_degree(adj, v)
+            if deg <= 1:
+                _mg_delete(adj, v)
+                changed = True
+                break
+            if deg == 2:
+                ends = []
+                for w, c in adj[v].items():
+                    ends.extend([w] * c)
+                u, w = ends
+                if v not in forbidden and u in forbidden and w in forbidden:
+                    continue
+                _mg_delete(adj, v)
+                if u == w:
+                    adj[u][u] = 1
+                else:
+                    mult = min(2, adj[u].get(w, 0) + 1)
+                    adj[u][w] = mult
+                    adj[w][u] = mult
+                changed = True
+                break
+    return forced
+
+
+def _random_multigraph(rng):
+    n = rng.randint(1, 14)
+    p = rng.choice([0.1, 0.2, 0.3, 0.5])
+    adj = {v: {} for v in range(n)}
+    for u in range(n):
+        if rng.random() < 0.1:
+            adj[u][u] = 1
+        for w in range(u + 1, n):
+            if rng.random() < p:
+                mult = 2 if rng.random() < 0.25 else 1
+                adj[u][w] = mult
+                adj[w][u] = mult
+    return adj
+
+
+class TestWorklistReduction:
+    def test_matches_sorted_rescan(self):
+        from contrablock.transversal import _mg_copy, _mg_degree, _mg_reduce
+
+        rng = random.Random(4091)
+        infeasible = skipped = 0
+        for _ in range(3000):
+            adj = _random_multigraph(rng)
+            frac = rng.choice([0.0, 0.3, 0.7])
+            forbidden = frozenset(v for v in adj if rng.random() < frac)
+            want_adj = _mg_copy(adj)
+            want = _reference_reduce(want_adj, forbidden)
+            got = _mg_reduce(adj, forbidden)
+            assert got == want, (want_adj, forbidden)
+            assert adj == want_adj, forbidden
+            infeasible += got is None
+            skipped += got is not None and any(
+                v not in forbidden and _mg_degree(adj, v) == 2 and set(ns) <= forbidden
+                for v, ns in adj.items()
+            )
+        # both the infeasible exit and the both-endpoints-forbidden skip ran
+        assert infeasible >= 20 and skipped >= 20
+
+    def test_large_subdivided_tree(self):
+        # complete binary tree on 1023 hubs, every tree edge subdivided by three
+        # fresh vertices, and a triangle on a pendant edge at hub 0: thousands
+        # of degree-2 reductions before the one cycle is left
+        hubs = 1023
+        edges = []
+        nxt = hubs
+        for child in range(1, hubs):
+            path = [(child - 1) // 2, nxt, nxt + 1, nxt + 2, child]
+            edges.extend(zip(path, path[1:]))
+            nxt += 3
+        a, b, c = nxt, nxt + 1, nxt + 2
+        edges += [(0, a), (a, b), (b, c), (a, c)]
+        g = Graph.from_edges(c + 1, edges)
+        assert g.n == 4092
+
+        res = feedback_vertex_set(g)
+        assert res == (1, frozenset({4091}))
+        from contrablock.graphs import induced_subgraph
+
+        rest, _ = induced_subgraph(g, [v for v in range(g.n) if v not in res[1]])
+        assert is_forest(rest)
 
 
 class TestBlockerQueries:
