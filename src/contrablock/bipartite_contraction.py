@@ -8,10 +8,9 @@ bc_decide searches for, returning the edge set itself.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 
-from .graphs import Edge, Graph, bipartition, contract_set, shortest_odd_cycle
+from .graphs import Edge, Graph, bfs, bipartition, components, contract_set, shortest_odd_cycle
 
 Coloring = tuple[int, ...]
 
@@ -28,23 +27,9 @@ def _check_coloring(g: Graph, phi) -> Coloring:
 def monochromatic_components(g: Graph, phi) -> list[list[int]]:
     """Maximal connected same-color vertex sets; a partition of V."""
     phi = _check_coloring(g, phi)
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(g.adj[v]):
-                if not seen[w] and phi[w] == phi[v]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    classes = ([v for v in g.vertices() if phi[v] == c] for c in (1, 2))
+    # the parts are disjoint, so sorting by first entry orders them by minimum
+    return sorted(comp for cls in classes for comp in components(g.adj, cls))
 
 
 def coloring_cost(g: Graph, phi) -> int:
@@ -57,17 +42,10 @@ def coloring_to_contraction(g: Graph, phi) -> list[Edge]:
     and the edge count equals the coloring cost."""
     phi = _check_coloring(g, phi)
     edges: list[Edge] = []
-    for comp in monochromatic_components(g, phi):
-        inside = set(comp)
-        seen = {comp[0]}
-        queue = deque([comp[0]])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(g.adj[v]):
-                if w in inside and w not in seen and phi[w] == phi[v]:
-                    seen.add(w)
-                    edges.append((min(v, w), max(v, w)))
-                    queue.append(w)
+    for c in (1, 2):
+        cls = [v for v in g.vertices() if phi[v] == c]
+        tree = bfs(g.adj, cls, set(cls))
+        edges.extend((min(p, v), max(p, v)) for v, p in tree.items() if p != -1)
     return sorted(edges)
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bipartite_contraction, contraction_vc, reductions, transversal, vertex_cover
-from .graphs import Graph, GraphFormatError, connected_components, parse_graph, serialize_graph
+from .graphs import Graph, GraphFormatError, cycle_graph, parse_graph, serialize_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -121,30 +121,10 @@ def _cmd_min_contract_vc(args) -> int:
         return EXIT_OK
     if args.approx:
         res = contraction_vc.min_contract_2approx(g, args.d, args.paper_convention)
-        print("INFEASIBLE" if res is None else res)
-        return EXIT_OK
-    # exact: feasibility first, then grow k until the decision flips
-    if vertex_cover.vc_branching(g).size < args.d:
-        print("INFEASIBLE")
-        return EXIT_OK
-    if args.paper_convention:
-        # the convention only changes the small-component optimum
-        from .graphs import induced_subgraph
-
-        small = all(
-            vertex_cover.vc_branching(induced_subgraph(g, c)[0], budget=args.d) is not None
-            for c in connected_components(g)
-        )
-        if small:
-            value = contraction_vc.dp_min_contract(g, args.d, paper_convention=True)
-            print("INFEASIBLE" if value == float("inf") else int(value))
-            return EXIT_OK
-    forest_bound = sum(len(c) - 1 for c in connected_components(g))
-    for k in range(args.d, max(forest_bound, args.d) + 1):
-        if contraction_vc.algorithm1(g, k, args.d).answer:
-            print(k)
-            return EXIT_OK
-    raise AssertionError("a feasible drop is reachable within the spanning forest bound")
+    else:
+        res = contraction_vc.min_contract_vc(g, args.d, args.paper_convention)
+    print("INFEASIBLE" if res is None else res)
+    return EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
@@ -203,8 +183,6 @@ def _load_cnf(path: str) -> reductions.CleanFormula:
 def _build_instance(phi, args) -> reductions.GadgetInstance:
     if args.theorem == 1:
         if args.gadget == "c4":
-            from .graphs import cycle_graph
-
             return reductions.build_double_copy_instance(phi, cycle_graph(4), 0, 2)
         pattern = _load_graph(args.gadget)
         try:

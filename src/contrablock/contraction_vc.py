@@ -9,7 +9,7 @@ bounded enumeration with a bipartite modulator otherwise.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,6 +17,7 @@ from .bipartite_contraction import bc_decide
 from .graphs import (
     Edge,
     Graph,
+    bfs,
     bipartition,
     connected_components,
     contract_set,
@@ -51,21 +52,10 @@ def _spanning_forest_witness(g: Graph, d: int) -> tuple[Edge, ...]:
     components; contracting them merges d pairs of cover vertices, dropping
     the cover number by d.  Valid whenever the coloring cost is >= d."""
     cover = vc_branching(g).cover
-    edges: list[Edge] = []
-    seen: set[int] = set()
-    for s in sorted(cover):
-        if s in seen:
-            continue
-        seen.add(s)
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(g.adj[v]):
-                if w in cover and w not in seen:
-                    seen.add(w)
-                    edges.append((min(v, w), max(v, w)))
-                    queue.append(w)
-    assert len(edges) >= d, "cover components too small for the requested drop"
+    forest = bfs(g.adj, sorted(cover), cover)
+    edges = [(min(p, v), max(p, v)) for v, p in forest.items() if p != -1]
+    if len(edges) < d:
+        raise RuntimeError("cover components too small for the requested drop")
     return tuple(edges[:d])
 
 
@@ -110,7 +100,7 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
                 a, b = to_current[pos[x]], to_current[pos[y]]
                 if (a, b) == qe or (b, a) == qe:
                     return (x, y)
-        raise AssertionError("quotient edge without an original preimage")
+        raise RuntimeError("quotient edge without an original preimage")
 
     initial = vc_branching(sub).size
     while True:
@@ -131,28 +121,18 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
                 if len(inb) >= 2:
                     picks = [(min(inb[0], w), max(inb[0], w)), (min(inb[1], w), max(inb[1], w))]
                     break
-        assert picks is not None, "a connected graph with cover >= 2 has two cover vertices within distance two"
+        if picks is None:
+            raise RuntimeError(
+                "a connected graph with cover >= 2 has two cover vertices within distance two"
+            )
         chosen.extend(original_edge(e) for e in picks)
         res = contract_set(q, picks)
         q = res.quotient
         to_current = [res.vmap[c] for c in to_current]
         after = vc_branching(q)
-        assert after.size <= before.size - 1, "a round must lose a cover vertex"
+        if after.size > before.size - 1:
+            raise RuntimeError("a round must lose a cover vertex")
     return chosen
-
-
-def _spanning_tree_edges(c: Graph) -> list[Edge]:
-    edges: list[Edge] = []
-    seen = {0} if c.n else set()
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w in sorted(c.adj[v]):
-            if w not in seen:
-                seen.add(w)
-                edges.append((min(v, w), max(v, w)))
-                queue.append(w)
-    return edges
 
 
 def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
@@ -170,7 +150,7 @@ def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
     if vc_c == d_prime:
         # Only collapsing the component to a single vertex eliminates the
         # whole cover, so the minimum is a spanning tree.
-        tree = _spanning_tree_edges(c)
+        tree = [(min(p, v), max(p, v)) for v, p in bfs(c.adj, [0]).items() if p != -1]
         return len(tree), tuple(tree)
     target = vc_c - d_prime
     cap = min(2 * d_prime, c.m)
@@ -179,7 +159,7 @@ def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
             q = contract_set(c, f).quotient
             if vc_branching(q, budget=target) is not None:
                 return size, f
-    raise AssertionError("a drop of d' needs at most 2d' contractions when vc > d'")
+    raise RuntimeError("a drop of d' needs at most 2d' contractions when vc > d'")
 
 
 def component_opt(c: Graph, d_prime: int, paper_convention: bool = False):
@@ -285,6 +265,26 @@ def algorithm1(g: Graph, k: int, d: int) -> Decision:
             if vc_with_modulator(res.quotient, modulator).size <= target:
                 return Decision(True, f, "enumeration-yes")
     return Decision(False, None, "enumeration-no")
+
+
+def min_contract_vc(g: Graph, d: int, paper_convention: bool = False) -> int | None:
+    """Exact minimum contraction count for a drop of d, or None when even a
+    full collapse cannot drop the cover number by d: the smallest k for
+    which algorithm1 answers yes.  ``paper_convention`` only changes the
+    small-component optimum, so that case goes to the component DP."""
+    if vc_branching(g).size < d:
+        return None
+    comps = connected_components(g)
+    if paper_convention and all(
+        vc_branching(induced_subgraph(g, c)[0], budget=d) is not None for c in comps
+    ):
+        value = dp_min_contract(g, d, paper_convention=True)
+        return None if math.isinf(value) else int(value)
+    forest_bound = sum(len(c) - 1 for c in comps)
+    for k in range(d, max(forest_bound, d) + 1):
+        if algorithm1(g, k, d).answer:
+            return k
+    raise RuntimeError("a feasible drop is reachable within the spanning forest bound")
 
 
 def min_contract_2approx(g: Graph, d: int, paper_convention: bool = False) -> int | None:

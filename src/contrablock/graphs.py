@@ -163,25 +163,52 @@ def contract_edge(g: Graph, e: Edge) -> ContractionResult:
     return contract_set(g, [e])
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Components as sorted vertex lists, ordered by their minimum vertex."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
+def bfs(adj, roots, allowed=None) -> dict[int, int]:
+    """Breadth-first forest grown from each root not yet reached, in the
+    given order, visiting neighbours in ascending order and staying inside
+    ``allowed`` when given.  Returns vertex -> parent (-1 for a root) in
+    visiting order.  ``adj`` is anything indexed by vertex that yields
+    neighbours, such as ``Graph.adj`` or a multigraph dict."""
+    parent: dict[int, int] = {}
+    for r in roots:
+        if r in parent:
             continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
+        parent[r] = -1
+        queue = deque([r])
         while queue:
             v = queue.popleft()
-            for w in sorted(g.adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
+            for w in sorted(adj[v]):
+                if w not in parent and (allowed is None or w in allowed):
+                    parent[w] = v
                     queue.append(w)
+    return parent
+
+
+def components(adj, verts) -> list[list[int]]:
+    """Components of the subgraph induced by ``verts``, as sorted vertex
+    lists ordered by their minimum vertex.  The search is an unsorted
+    stack: neighbour order cannot change a vertex set."""
+    todo = set(verts)
+    comps: list[list[int]] = []
+    for s in sorted(todo):
+        if s not in todo:
+            continue
+        todo.remove(s)
+        comp = [s]
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in todo:
+                    todo.remove(w)
+                    comp.append(w)
+                    stack.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Components as sorted vertex lists, ordered by their minimum vertex."""
+    return components(g.adj, range(g.n))
 
 
 def bipartition(g: Graph, allowed=None) -> tuple[list[int], list[int]] | None:
@@ -238,19 +265,11 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
     alive = set(allowed) if allowed is not None else set(range(g.n))
     best: tuple[int, list[int]] | None = None
     for s in sorted(alive):
-        dist = {s: 0}
-        par = {s: -1}
-        queue = deque([s])
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in sorted(g.adj[v]):
-                if w in alive and w not in dist:
-                    dist[w] = dist[v] + 1
-                    par[w] = v
-                    queue.append(w)
-        for v in order:
+        par = bfs(g.adj, [s], alive)
+        dist: dict[int, int] = {}
+        for v, p in par.items():
+            dist[v] = 0 if p == -1 else dist[p] + 1
+        for v in par:
             for w in sorted(g.adj[v]):
                 if w not in dist or w <= v:
                     continue
@@ -273,35 +292,6 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
         if best is not None and best[0] == 3:
             break
     return best[1] if best is not None else None
-
-
-def is_star(g: Graph) -> bool:
-    """True iff the (connected) graph has an edge and one vertex meets them all."""
-    if len(connected_components(g)) != 1:
-        raise ValueError("is_star requires a connected graph")
-    return g.m >= 1 and max(g.degree(v) for v in range(g.n)) == g.m
-
-
-def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
-    """Minimum-length path from u to v, BFS tie-broken by smallest neighbor."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("endpoint out of range")
-    if u == v:
-        return [u]
-    par = {u: -1}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in sorted(g.adj[x]):
-            if w not in par:
-                par[w] = x
-                if w == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(par[path[-1]])
-                    return path[::-1]
-                queue.append(w)
-    return None
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
@@ -356,8 +346,6 @@ def is_two_connected(g: Graph) -> bool:
     if g.n < 3 or not is_connected(g):
         return False
     for v in range(g.n):
-        rest = [x for x in range(g.n) if x != v]
-        sub, _ = induced_subgraph(g, rest)
-        if not is_connected(sub):
+        if len(components(g.adj, [x for x in range(g.n) if x != v])) != 1:
             return False
     return True

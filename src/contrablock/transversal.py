@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from .graphs import (
     Edge,
     Graph,
+    bfs,
+    components,
     contract_set,
     is_connected,
     shortest_odd_cycle,
@@ -88,21 +90,7 @@ class Occurrence:
 
 def _pattern_order(h: Graph) -> list[int]:
     """BFS order, so each vertex after the first root touches an earlier one."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in range(h.n):
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(h.adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return order
+    return list(bfs(h.adj, range(h.n)))
 
 
 def _subgraph_occ(g: Graph, h: Graph, induced: bool, allowed) -> tuple[int, ...] | None:
@@ -312,23 +300,7 @@ def _warn_if_not_antichain(fam: HitFamily) -> None:
 
 
 def _alive_components(g: Graph, alive: frozenset[int]) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for s in sorted(alive):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in g.adj[v]:
-                if w in alive and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    return [frozenset(c) for c in components(g.adj, alive)]
 
 
 def _packing_lb(g: Graph, fam: HitFamily, alive: frozenset[int], stop_at: int) -> int:
@@ -518,23 +490,7 @@ def _mg_reduce(adj, forbidden) -> set[int] | None:
 
 
 def _mg_components(adj) -> list[dict[int, dict[int, int]]]:
-    seen: set[int] = set()
-    comps = []
-    for s in sorted(adj):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append({v: dict(adj[v]) for v in sorted(comp)})
-    return comps
+    return [{v: dict(adj[v]) for v in comp} for comp in components(adj, adj)]
 
 
 def _mg_find_cycle(adj) -> list[int] | None:

@@ -136,7 +136,8 @@ def vc_bipartite(g: Graph) -> CoverResult:
 
     cover = sorted([v for v in left if v not in reach] + [v for v in right if v in reach])
     matched_pairs = sum(1 for v in match if v in lset)
-    assert len(cover) == matched_pairs, "cover size must equal matching size"
+    if len(cover) != matched_pairs:
+        raise RuntimeError("cover size must equal matching size")
     return CoverResult(len(cover), frozenset(cover))
 
 
@@ -174,7 +175,8 @@ def vc_with_modulator(g: Graph, modulator) -> CoverResult:
         cover = inside | forced | {old[x] for x in part.cover}
         if best is None or len(cover) < best.size:
             best = CoverResult(len(cover), frozenset(cover))
-    assert best is not None  # mask with every modulator vertex inside always works
+    if best is None:
+        raise RuntimeError("the mask with every modulator vertex inside always works")
     return best
 
 

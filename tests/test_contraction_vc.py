@@ -12,6 +12,7 @@ from contrablock.contraction_vc import (
     contraction_vc_1,
     dp_min_contract,
     min_contract_2approx,
+    min_contract_vc,
     two_approx_drop,
 )
 from contrablock.graphs import (
@@ -26,7 +27,7 @@ from contrablock.graphs import (
 )
 from contrablock.vertex_cover import vc_branching
 
-from .conftest import random_connected_graph
+from .conftest import random_connected_graph, random_graph
 
 
 def min_drop_edges(g, d, cap):
@@ -238,3 +239,25 @@ class TestTwoApproxMin:
     def test_infeasible(self):
         assert min_contract_2approx(star_graph(3), 2) is None
         assert min_contract_2approx(Graph.from_edges(3, []), 1) is None
+
+
+class TestMinContractVc:
+    def test_examples(self):
+        assert min_contract_vc(cycle_graph(5), 1) == 1
+        assert min_contract_vc(star_graph(3), 2) is None
+        assert min_contract_vc(star_graph(3), 1) == 3
+        assert min_contract_vc(star_graph(3), 1, paper_convention=True) is None
+
+    def test_matches_brute_oracle(self):
+        rng = random.Random(988)
+        found = 0
+        for _ in range(260):
+            g = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.45, 0.6]))
+            if g.m > 10:
+                continue
+            for d in (1, 2):
+                for pc in (False, True):
+                    want = brute_min_contract(g, d, g.m, pc)
+                    assert min_contract_vc(g, d, pc) == want, (g.edges, d, pc)
+                    found += want is not None
+        assert found >= 400

@@ -14,13 +14,10 @@ from contrablock.graphs import (
     contract_set,
     cycle_graph,
     disjoint_union,
-    is_star,
     parse_graph,
     path_graph,
     serialize_graph,
     shortest_odd_cycle,
-    shortest_path,
-    star_graph,
     subdivide_edges,
 )
 
@@ -168,23 +165,6 @@ class TestStructureQueries:
                     assert g.has_edge(v, cycle[(i + 1) % len(cycle)])
             else:
                 assert cycle is None
-
-    def test_is_star(self):
-        assert is_star(path_graph(2))
-        assert is_star(star_graph(3))
-        assert not is_star(path_graph(4))
-        with pytest.raises(ValueError):
-            is_star(disjoint_union(path_graph(2), path_graph(2)))
-
-    def test_shortest_path(self):
-        g = path_graph(4)
-        assert shortest_path(g, 0, 3) == [0, 1, 2, 3]
-        assert shortest_path(g, 0, 0) == [0]
-        assert shortest_path(disjoint_union(path_graph(2), path_graph(2)), 0, 3) is None
-
-    def test_shortest_path_prefers_smallest_neighbor(self):
-        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert shortest_path(g, 0, 3) == [0, 1, 3]
 
     def test_subdivide_k4(self):
         assert subdivide_edges(complete_graph(4)).n == 10

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from contrablock import vertex_cover
 from contrablock.graphs import (
     Graph,
     complete_graph,
@@ -72,6 +73,12 @@ class TestBipartite:
         for _ in range(20):
             g = random_bipartite_graph(rng, 2, 10)
             assert vc_bipartite(g) == vc_bipartite(g)
+
+    def test_koenig_self_check_raises(self, monkeypatch):
+        # a matching smaller than the cover must fail loudly, also under python -O
+        monkeypatch.setattr(vertex_cover, "maximum_matching", lambda g, left: {})
+        with pytest.raises(RuntimeError, match="matching size"):
+            vc_bipartite(path_graph(2))
 
 
 class TestModulator:
