@@ -8,8 +8,6 @@ bc_decide searches for, returning the edge set itself.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .graphs import Edge, Graph, bfs, bipartition, components, contract_set, shortest_odd_cycle
 
 Coloring = tuple[int, ...]
@@ -59,27 +57,16 @@ def contraction_to_coloring(g: Graph, contracted) -> Coloring:
     return tuple(1 if res.vmap[v] in left else 2 for v in range(g.n))
 
 
-def bc_decide(g: Graph, k: int, method: str = "odd-cycle") -> list[Edge] | None:
+def bc_decide(g: Graph, k: int) -> list[Edge] | None:
     """An edge set F with |F| <= k and g/F bipartite, or None.
 
-    "odd-cycle": iterative deepening; each level branches on the original
-    edges incident to the classes of a shortest odd cycle of the current
-    quotient.  Destroying every odd cycle requires contracting such an edge,
-    so the search is complete.  "enumerate" checks every subset and is kept
-    as the correctness oracle.
+    Iterative deepening; each level branches on the original edges incident
+    to the classes of a shortest odd cycle of the current quotient.
+    Destroying every odd cycle requires contracting such an edge, so the
+    search is complete.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
-    if method == "enumerate":
-        all_edges = g.sorted_edges()
-        for size in range(k + 1):
-            for f in combinations(all_edges, size):
-                if bipartition(contract_set(g, f).quotient) is not None:
-                    return list(f)
-        return None
-    if method != "odd-cycle":
-        raise ValueError(f"unknown method {method!r}")
-
     for depth in range(k + 1):
         visited: set[frozenset[Edge]] = set()
         found = _bc_search(g, (), depth, visited)

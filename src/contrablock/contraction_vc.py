@@ -174,11 +174,9 @@ def _dp_with_witness(g: Graph, d: int, paper_convention: bool):
         raise ValueError("drop must be non-negative")
     if d == 0:
         return 0, ()
-    comps = connected_components(g)
-    subs = [induced_subgraph(g, c) for c in comps]
-    for sub, _ in subs:
-        if vc_branching(sub, budget=d) is None:
-            raise ValueError("every component must have cover number at most the drop")
+    if _large_component(g, d) is not None:
+        raise ValueError("every component must have cover number at most the drop")
+    subs = [induced_subgraph(g, c) for c in connected_components(g)]
 
     p = len(subs)
     opt_cache: dict[tuple[int, int], tuple] = {}
@@ -217,6 +215,14 @@ def _dp_with_witness(g: Graph, d: int, paper_convention: bool):
     return int(dp[p][d]), tuple(sorted(edges))
 
 
+def _large_component(g: Graph, d: int) -> list[int] | None:
+    """The first component whose cover number exceeds d, or None."""
+    for comp in connected_components(g):
+        if vc_branching(g, d, comp) is None:
+            return comp
+    return None
+
+
 def dp_min_contract(g: Graph, d: int, paper_convention: bool = False):
     """Minimum contraction count over a graph whose components all have cover
     number <= d, combined across components by a drop-allocation DP."""
@@ -234,14 +240,7 @@ def algorithm1(g: Graph, k: int, d: int) -> Decision:
     if low_bc_witness is None:
         return Decision(True, _spanning_forest_witness(g, d), "bc-large")
 
-    comps = connected_components(g)
-    big = None
-    for comp in comps:
-        sub, _ = induced_subgraph(g, comp)
-        if vc_branching(sub, budget=d) is None:
-            big = comp
-            break
-
+    big = _large_component(g, d)
     if big is None:
         value, witness = _dp_with_witness(g, d, paper_convention=False)
         if value <= k:
@@ -274,13 +273,10 @@ def min_contract_vc(g: Graph, d: int, paper_convention: bool = False) -> int | N
     small-component optimum, so that case goes to the component DP."""
     if vc_branching(g).size < d:
         return None
-    comps = connected_components(g)
-    if paper_convention and all(
-        vc_branching(induced_subgraph(g, c)[0], budget=d) is not None for c in comps
-    ):
+    if paper_convention and _large_component(g, d) is None:
         value = dp_min_contract(g, d, paper_convention=True)
         return None if math.isinf(value) else int(value)
-    forest_bound = sum(len(c) - 1 for c in comps)
+    forest_bound = sum(len(c) - 1 for c in connected_components(g))
     for k in range(d, max(forest_bound, d) + 1):
         if algorithm1(g, k, d).answer:
             return k
@@ -297,12 +293,7 @@ def min_contract_2approx(g: Graph, d: int, paper_convention: bool = False) -> in
         return None
     if bc_decide(g, d - 1) is None:
         return d  # d forest edges suffice and fewer can never drop by d
-    big = None
-    for comp in connected_components(g):
-        sub, _ = induced_subgraph(g, comp)
-        if vc_branching(sub, budget=d) is None:
-            big = comp
-            break
+    big = _large_component(g, d)
     if big is None:
         value = dp_min_contract(g, d, paper_convention)
         return None if math.isinf(value) else int(value)

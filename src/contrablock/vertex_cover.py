@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bipartition, contract_edge, induced_subgraph
+from .graphs import Graph, bipartition, contract_edge
 
 
 @dataclass(frozen=True)
@@ -14,22 +14,25 @@ class CoverResult:
     cover: frozenset[int]
 
 
-def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
-    """A vertex cover of size <= k of the graph given by ``adj``, or None.
-
-    Degree-1 vertices are resolved by taking the neighbor; otherwise branch
-    on a maximum-degree vertex v: either v joins the cover or all of N(v)
-    does.  Smallest-index tie-breaking keeps the witness deterministic.
-    """
-    adj = {v: set(ns) for v, ns in adj.items() if ns}
-    picks: set[int] = set()
-
-    def remove(v: int) -> None:
+def _delete(adj: dict[int, set[int]], vertices) -> None:
+    """Delete ``vertices`` and their edges from ``adj`` in place, dropping
+    vertices left without neighbours."""
+    for v in vertices:
         for w in adj.pop(v, ()):
             adj[w].discard(v)
             if not adj[w]:
                 del adj[w]
 
+
+def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
+    """A vertex cover of size <= k of the graph given by ``adj``, or None.
+
+    ``adj`` holds only vertices with neighbours and is consumed.  Degree-1
+    vertices are resolved by taking the neighbor; otherwise branch on a
+    maximum-degree vertex v: either v joins the cover or all of N(v) does.
+    Smallest-index tie-breaking keeps the witness deterministic.
+    """
+    picks: set[int] = set()
     while True:
         leaf = None
         for v in sorted(adj):
@@ -40,7 +43,7 @@ def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
             break
         w = next(iter(adj[leaf]))
         picks.add(w)
-        remove(w)
+        _delete(adj, (w,))
         if len(picks) > k:
             return None
 
@@ -51,73 +54,81 @@ def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
     budget = k - len(picks)
 
     v = max(sorted(adj), key=lambda x: len(adj[x]))
-    nbrs = sorted(adj[v])
-
-    sub = {x: set(ns) for x, ns in adj.items()}
-    for w in sub.pop(v):
-        sub[w].discard(v)
-        if not sub[w]:
-            del sub[w]
-    res = _decide_cover(sub, budget - 1)
-    if res is not None:
-        return picks | {v} | res
-
-    if len(nbrs) <= budget:
+    for take in ([v], sorted(adj[v])):
+        if len(take) > budget:
+            continue
         sub = {x: set(ns) for x, ns in adj.items()}
-        for w in nbrs + [v]:
-            for y in sub.pop(w, ()):
-                sub[y].discard(w)
-                if not sub[y]:
-                    del sub[y]
-        res = _decide_cover(sub, budget - len(nbrs))
+        _delete(sub, take)  # deleting N(v) leaves v isolated, so v goes too
+        res = _decide_cover(sub, budget - len(take))
         if res is not None:
-            return picks | set(nbrs) | res
+            return picks | set(take) | res
     return None
 
 
-def vc_branching(g: Graph, budget: int | None = None) -> CoverResult | None:
+def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResult | None:
     """Minimum vertex cover by branching; None iff a budget is given and
-    vc(g) exceeds it."""
-    adj = {v: set(g.adj[v]) for v in range(g.n) if g.adj[v]}
-    hi = g.n if budget is None else min(budget, g.n)
+    vc(g) exceeds it.  ``allowed`` restricts the graph to an induced vertex
+    subset."""
+    alive = set(range(g.n) if allowed is None else allowed)
+    adj = {v: ns for v in alive if (ns := g.adj[v] & alive)}
+    hi = len(alive) if budget is None else min(budget, len(alive))
     for k in range(hi + 1):
-        sol = _decide_cover(adj, k)
+        sol = _decide_cover({v: set(ns) for v, ns in adj.items()}, k)
         if sol is not None:
             return CoverResult(len(sol), frozenset(sol))
     return None
 
 
-def maximum_matching(g: Graph, left: list[int]) -> dict[int, int]:
+def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:
     """Maximum matching of a bipartite graph via augmenting paths; returns a
-    symmetric vertex->partner map.  ``left`` must be one side."""
-    match: dict[int, int] = {}
+    symmetric vertex->partner map.  ``left`` must be one side; ``allowed``
+    restricts the graph to an induced vertex subset.
 
-    def augment(u: int, seen: set[int]) -> bool:
-        for w in sorted(g.adj[u]):
-            if w in seen:
+    Each augmenting-path search is a depth-first search on an explicit stack,
+    so long paths cannot exhaust the interpreter's recursion limit.
+    """
+    alive = set(range(g.n) if allowed is None else allowed)
+    nbrs = {u: sorted(g.adj[u] & alive) for u in left}
+    match: dict[int, int] = {}
+    for root in sorted(left):
+        if root in match:
+            continue
+        seen: set[int] = set()
+        stack = [(root, iter(nbrs[root]))]
+        path: list[int] = []  # path[i] is the vertex reached from stack[i]
+        while stack:
+            for w in stack[-1][1]:
+                if w not in seen:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen.add(w)
-            if w not in match or augment(match[w], seen):
-                match[w] = u
-                match[u] = w
-                return True
-        return False
-
-    for u in sorted(left):
-        if u not in match:
-            augment(u, set())
+            path.append(w)
+            if w in match:
+                stack.append((match[w], iter(nbrs[match[w]])))
+                continue
+            # flip the path, from its free end back to the root
+            for (u, _), x in reversed(list(zip(stack, path))):
+                match[x] = u
+                match[u] = x
+            break
     return match
 
 
-def vc_bipartite(g: Graph) -> CoverResult:
+def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
     """Minimum vertex cover of a bipartite graph: maximum matching, then the
-    alternating-reachability cover extraction."""
-    sides = bipartition(g)
+    alternating-reachability cover extraction.  ``allowed`` restricts the
+    graph to an induced vertex subset."""
+    sides = bipartition(g, allowed)
     if sides is None:
         raise ValueError("graph is not bipartite")
     left, right = sides
     lset = set(left)
-    match = maximum_matching(g, left)
+    alive = lset.union(right)
+    match = maximum_matching(g, left, allowed)
 
     # Alternating reachability from unmatched left vertices: left->right via
     # non-matching edges, right->left via matching edges.
@@ -125,7 +136,7 @@ def vc_bipartite(g: Graph) -> CoverResult:
     stack = sorted(reach)
     while stack:
         u = stack.pop()
-        for w in sorted(g.adj[u]):
+        for w in sorted(g.adj[u] & alive):
             if u in lset:
                 if match.get(u) == w or w in reach:
                     continue
@@ -150,9 +161,8 @@ def vc_with_modulator(g: Graph, modulator) -> CoverResult:
     for v in b:
         if not 0 <= v < g.n:
             raise ValueError(f"modulator vertex {v} out of range")
-    rest = [v for v in range(g.n) if v not in set(b)]
-    sub_rest, _ = induced_subgraph(g, rest)
-    if bipartition(sub_rest) is None:
+    rest = set(range(g.n)).difference(b)
+    if bipartition(g, rest) is None:
         raise ValueError("graph minus modulator is not bipartite")
 
     best: CoverResult | None = None
@@ -168,11 +178,7 @@ def vc_with_modulator(g: Graph, modulator) -> CoverResult:
             forced |= g.adj[v]
         if not feasible:
             continue
-        removed = set(b) | forced
-        residual = [v for v in range(g.n) if v not in removed]
-        sub, old = induced_subgraph(g, residual)
-        part = vc_bipartite(sub)
-        cover = inside | forced | {old[x] for x in part.cover}
+        cover = inside | forced | vc_bipartite(g, rest - forced).cover
         if best is None or len(cover) < best.size:
             best = CoverResult(len(cover), frozenset(cover))
     if best is None:
@@ -189,11 +195,7 @@ def vc_after_contraction(g: Graph, e) -> int:
     ge = res.quotient
     w = res.vmap[tuple(e)[0]]
 
-    without_w, _ = induced_subgraph(ge, [v for v in range(ge.n) if v != w])
-    take_w = 1 + vc_bipartite(without_w).size
-
-    closed = set(ge.adj[w]) | {w}
-    without_nw, _ = induced_subgraph(ge, [v for v in range(ge.n) if v not in closed])
-    take_nbrs = len(ge.adj[w]) + vc_bipartite(without_nw).size
-
+    verts = set(range(ge.n))
+    take_w = 1 + vc_bipartite(ge, verts - {w}).size
+    take_nbrs = len(ge.adj[w]) + vc_bipartite(ge, verts - ge.adj[w] - {w}).size
     return min(take_w, take_nbrs)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,16 @@ from contrablock.graphs import (
 )
 
 from .conftest import min_coloring_cost, random_graph
+
+
+def _reference_bc(g, k):
+    """Subset enumeration: the first edge set of size <= k, by size and then
+    lexicographically, whose contraction leaves a bipartite quotient."""
+    for size in range(k + 1):
+        for f in combinations(g.sorted_edges(), size):
+            if bipartition(contract_set(g, f).quotient) is not None:
+                return list(f)
+    return None
 
 
 class TestColoringCost:
@@ -126,8 +137,10 @@ class TestBcDecide:
             g = random_graph(rng, rng.randint(2, 7), 0.6)
             for k in range(4):
                 fast = bc_decide(g, k)
-                slow = bc_decide(g, k, method="enumerate")
+                slow = _reference_bc(g, k)
                 assert (fast is None) == (slow is None), (g.edges, k)
+                if fast is not None:
+                    assert len(fast) == len(slow), (g.edges, k)  # both are minimum
 
     def test_matches_coloring_oracle(self):
         # decision success must coincide with the existence of a cheap coloring

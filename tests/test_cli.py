@@ -65,6 +65,15 @@ class TestVcAndTau:
         code, out = run(capsys, ["vc", files["c5.gr"], "--modulator", "0"])
         assert code == 0 and out.splitlines()[0] == "3"
 
+    def test_long_path_has_no_recursion_limit(self, tmp_path, capsys):
+        # augmenting paths on P2000 are far longer than the interpreter's recursion limit
+        path = tmp_path / "p2000.gr"
+        path.write_text("2000 1999\n" + "".join(f"{i} {i + 1}\n" for i in range(1999)))
+        code, out = run(capsys, ["vc", str(path), "--bipartite"])
+        assert code == 0 and out.splitlines()[0] == "1000"
+        code, out = run(capsys, ["contract-vc", str(path), "-k", "1", "-d", "1"])
+        assert code == 0 and out == "YES\n"
+
     def test_tau_fvs_on_tree(self, files, capsys):
         code, out = run(capsys, ["tau", files["tree.gr"], "--family", "fvs"])
         assert code == 0 and out == "0\n"

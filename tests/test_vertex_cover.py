@@ -76,7 +76,7 @@ class TestBipartite:
 
     def test_koenig_self_check_raises(self, monkeypatch):
         # a matching smaller than the cover must fail loudly, also under python -O
-        monkeypatch.setattr(vertex_cover, "maximum_matching", lambda g, left: {})
+        monkeypatch.setattr(vertex_cover, "maximum_matching", lambda g, left, allowed=None: {})
         with pytest.raises(RuntimeError, match="matching size"):
             vc_bipartite(path_graph(2))
 
