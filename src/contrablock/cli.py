@@ -8,6 +8,7 @@ witnesses print as ``u-v`` lists, reports as key=value lines.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bipartite_contraction, contraction_vc, reductions, transversal, vertex_cover
@@ -162,11 +163,7 @@ def _cmd_blocker_edge(args) -> int:
     except ValueError:
         raise InputError(f"bad edge {args.edge!r}, expected U,V") from None
     fam = _parse_family(args.family, _RELATIONS[args.relation])
-    try:
-        drops = transversal.drop_given_edge(g, (u, v), fam)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    print("YES" if drops else "NO")
+    print("YES" if transversal.drop_given_edge(g, (u, v), fam) else "NO")
     return EXIT_OK
 
 
@@ -184,24 +181,14 @@ def _build_instance(phi, args) -> reductions.GadgetInstance:
     if args.theorem == 1:
         if args.gadget == "c4":
             return reductions.build_double_copy_instance(phi, cycle_graph(4), 0, 2)
-        pattern = _load_graph(args.gadget)
-        try:
-            return reductions.build_double_copy_instance(phi, pattern)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return reductions.build_double_copy_instance(phi, _load_graph(args.gadget))
     if args.theorem == 2:
         if args.clique is None:
             raise InputError("--clique is required with --theorem 2")
-        try:
-            return reductions.build_subdivided_clique_instance(phi, args.clique)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return reductions.build_subdivided_clique_instance(phi, args.clique)
     if args.path is None:
         raise InputError("--path is required with --theorem 3")
-    try:
-        return reductions.build_path_instance(phi, args.path)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return reductions.build_path_instance(phi, args.path)
 
 
 def _add_instance_flags(sub) -> None:
@@ -211,7 +198,11 @@ def _add_instance_flags(sub) -> None:
     sub.add_argument("--path", type=int, help="path length in vertices (theorem 3)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    caller, who must not change it; ``parse_args`` keeps no state between
+    calls."""
     parser = argparse.ArgumentParser(prog="contrablock")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -278,10 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceeded as exc:

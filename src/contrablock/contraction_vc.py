@@ -85,28 +85,15 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
     comp = sorted(set(component))
     if comp not in connected_components(g):
         raise ValueError("vertex set is not a connected component of the graph")
-    sub, old = induced_subgraph(g, comp)
-    if vc_branching(sub, budget=d) is not None:
+    before = vc_branching(g, allowed=comp)
+    if before.size <= d:
         raise ValueError("component cover number must exceed the requested drop")
-    pos = {v: i for i, v in enumerate(old)}
 
-    q = sub
-    to_current = list(range(sub.n))  # sub vertex -> current quotient vertex
+    initial = before.size
+    all_edges = g.sorted_edges()
+    q, vmap, alive = g, range(g.n), comp
     chosen: list[Edge] = []
-
-    def original_edge(qe: Edge) -> Edge:
-        for x, y in g.sorted_edges():
-            if x in pos and y in pos:
-                a, b = to_current[pos[x]], to_current[pos[y]]
-                if (a, b) == qe or (b, a) == qe:
-                    return (x, y)
-        raise RuntimeError("quotient edge without an original preimage")
-
-    initial = vc_branching(sub).size
-    while True:
-        before = vc_branching(q)
-        if initial - before.size >= d:
-            break  # a two-edge round may overshoot by one
+    while initial - before.size < d:  # a two-edge round may overshoot by one
         cover = before.cover
         picks: list[Edge] | None = None
         for e in q.sorted_edges():
@@ -114,7 +101,7 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
                 picks = [e]
                 break
         if picks is None:
-            for w in range(q.n):
+            for w in sorted(alive):
                 if w in cover:
                     continue
                 inb = sorted(x for x in q.adj[w] if x in cover)
@@ -125,13 +112,15 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
             raise RuntimeError(
                 "a connected graph with cover >= 2 has two cover vertices within distance two"
             )
-        chosen.extend(original_edge(e) for e in picks)
-        res = contract_set(q, picks)
-        q = res.quotient
-        to_current = [res.vmap[c] for c in to_current]
-        after = vc_branching(q)
+        for a, b in picks:  # the first original edge onto each picked quotient edge
+            chosen.append(next(e for e in all_edges if {vmap[e[0]], vmap[e[1]]} == {a, b}))
+        res = contract_set(g, chosen)
+        q, vmap = res.quotient, res.vmap
+        alive = {vmap[v] for v in comp}
+        after = vc_branching(q, allowed=alive)
         if after.size > before.size - 1:
             raise RuntimeError("a round must lose a cover vertex")
+        before = after
     return chosen
 
 
@@ -229,6 +218,24 @@ def dp_min_contract(g: Graph, d: int, paper_convention: bool = False):
     return _dp_with_witness(g, d, paper_convention)[0]
 
 
+def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | None:
+    """The first edge set of at most k edges, by size and then in sorted
+    order, whose contraction drops the cover number by d, or None.  Every
+    cover computation goes through the modulator built from the bc witness
+    plus merged classes."""
+    anchors = sorted({v for e in low_bc_witness for v in e})
+    target = vc_with_modulator(g, anchors).size - d
+    all_edges = g.sorted_edges()
+    for size in range(1, k + 1):
+        for f in combinations(all_edges, size):
+            res = contract_set(g, f)
+            merged = {c for c, cnt in Counter(res.vmap).items() if cnt >= 2}
+            modulator = {res.vmap[v] for v in anchors} | merged
+            if vc_with_modulator(res.quotient, modulator).size <= target:
+                return f
+    return None
+
+
 def algorithm1(g: Graph, k: int, d: int) -> Decision:
     """Exact decision: can k contractions drop the cover number by d?"""
     if k < 1 or d < 1:
@@ -250,54 +257,46 @@ def algorithm1(g: Graph, k: int, d: int) -> Decision:
     if k >= 2 * d:
         return Decision(True, tuple(two_approx_drop(g, big, d)), "lemma3-budget")
 
-    # k <= 2d - 1: enumerate candidate sets; every cover computation goes
-    # through the modulator built from the bc witness plus merged classes.
-    anchors = sorted({v for e in low_bc_witness for v in e})
-    vcg = vc_with_modulator(g, anchors).size
-    target = vcg - d
-    all_edges = g.sorted_edges()
-    for size in range(1, k + 1):
-        for f in combinations(all_edges, size):
-            res = contract_set(g, f)
-            merged = {c for c, cnt in Counter(res.vmap).items() if cnt >= 2}
-            modulator = {res.vmap[v] for v in anchors} | merged
-            if vc_with_modulator(res.quotient, modulator).size <= target:
-                return Decision(True, f, "enumeration-yes")
+    witness = _enumerate(g, k, d, low_bc_witness)
+    if witness is not None:
+        return Decision(True, witness, "enumeration-yes")
     return Decision(False, None, "enumeration-no")
+
+
+def _min_contract(g: Graph, d: int, paper_convention: bool, approx: bool) -> int | None:
+    """algorithm1's cascade as an optimisation: d when bc >= d, the component
+    DP when every component has cover <= d, and otherwise, with a component
+    of cover > d, the first set the enumeration finds at k = 2d - 1 (2d when
+    none, by Lemma 3) or, under ``approx``, the size of two_approx_drop."""
+    if d < 1:
+        raise ValueError("drop must be positive")
+    if vc_branching(g).size < d:
+        return None
+    low_bc_witness = bc_decide(g, d - 1)
+    if low_bc_witness is None:
+        return d  # d forest edges suffice and fewer can never drop by d
+    big = _large_component(g, d)
+    if big is None:
+        value = dp_min_contract(g, d, paper_convention)
+        return None if math.isinf(value) else int(value)
+    if approx:
+        return len(two_approx_drop(g, big, d))
+    witness = _enumerate(g, 2 * d - 1, d, low_bc_witness)
+    return 2 * d if witness is None else len(witness)
 
 
 def min_contract_vc(g: Graph, d: int, paper_convention: bool = False) -> int | None:
     """Exact minimum contraction count for a drop of d, or None when even a
-    full collapse cannot drop the cover number by d: the smallest k for
-    which algorithm1 answers yes.  ``paper_convention`` only changes the
-    small-component optimum, so that case goes to the component DP."""
-    if vc_branching(g).size < d:
-        return None
-    if paper_convention and _large_component(g, d) is None:
-        value = dp_min_contract(g, d, paper_convention=True)
-        return None if math.isinf(value) else int(value)
-    forest_bound = sum(len(c) - 1 for c in connected_components(g))
-    for k in range(d, max(forest_bound, d) + 1):
-        if algorithm1(g, k, d).answer:
-            return k
-    raise RuntimeError("a feasible drop is reachable within the spanning forest bound")
+    full collapse cannot drop the cover number by d.  ``paper_convention``
+    only changes the small-component optimum."""
+    return _min_contract(g, d, paper_convention, approx=False)
 
 
 def min_contract_2approx(g: Graph, d: int, paper_convention: bool = False) -> int | None:
     """Factor-2 estimate of the minimum contraction count for a drop of d;
     exact on every branch except the large-component one.  None when even a
     full collapse cannot drop the cover number by d."""
-    if d < 1:
-        raise ValueError("drop must be positive")
-    if vc_branching(g).size < d:
-        return None
-    if bc_decide(g, d - 1) is None:
-        return d  # d forest edges suffice and fewer can never drop by d
-    big = _large_component(g, d)
-    if big is None:
-        value = dp_min_contract(g, d, paper_convention)
-        return None if math.isinf(value) else int(value)
-    return len(two_approx_drop(g, big, d))
+    return _min_contract(g, d, paper_convention, approx=True)
 
 
 def brute_min_contract(g: Graph, d: int, cap: int, paper_convention: bool = False) -> int | None:

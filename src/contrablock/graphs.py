@@ -264,16 +264,21 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
     entries adjacent), or None when the graph is bipartite."""
     alive = set(allowed) if allowed is not None else set(range(g.n))
     best: tuple[int, list[int]] | None = None
+    bipartite: set[int] = set()  # components whose search found no odd edge
     for s in sorted(alive):
+        if s in bipartite:
+            continue
         par = bfs(g.adj, [s], alive)
         dist: dict[int, int] = {}
         for v, p in par.items():
             dist[v] = 0 if p == -1 else dist[p] + 1
+        odd = False
         for v in par:
             for w in sorted(g.adj[v]):
                 if w not in dist or w <= v:
                     continue
                 if (dist[v] + dist[w]) % 2 == 0:
+                    odd = True
                     length = dist[v] + dist[w] + 1
                     if best is None or length < best[0]:
                         up, down = [], []
@@ -289,6 +294,8 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
                         walk = up[::-1] + down[:-1]
                         cyc = _cut_to_simple_odd_cycle(walk)
                         best = (len(cyc), cyc)
+        if not odd:
+            bipartite.update(par)  # no root of a bipartite component can close an odd cycle
         if best is not None and best[0] == 3:
             break
     return best[1] if best is not None else None

@@ -1,0 +1,212 @@
+"""The shared cascade of ``contraction_vc`` against the code it replaced.
+
+Each ``_reference_*`` function below is the code the library carried
+before ``min_contract_vc`` and ``min_contract_2approx`` shared one cascade:
+``min_contract_vc`` asked ``algorithm1`` for every k in turn,
+``min_contract_2approx`` wrote the cascade out again, and
+``two_approx_drop`` solved an induced copy of the component, twice per
+round.  The new code must return exactly the same values, witnesses and
+``ValueError`` messages for every d >= 1.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
+
+from contrablock.bipartite_contraction import bc_decide
+from contrablock.contraction_vc import (
+    Decision,
+    _dp_with_witness,
+    _large_component,
+    _spanning_forest_witness,
+    algorithm1,
+    dp_min_contract,
+    min_contract_2approx,
+    min_contract_vc,
+    two_approx_drop,
+)
+from contrablock.graphs import Edge, connected_components, contract_set, induced_subgraph
+from contrablock.vertex_cover import vc_branching, vc_with_modulator
+
+from .conftest import random_graph
+
+
+def _reference_two_approx_drop(g, component, d):
+    if d < 1:
+        raise ValueError("drop must be positive")
+    comp = sorted(set(component))
+    if comp not in connected_components(g):
+        raise ValueError("vertex set is not a connected component of the graph")
+    sub, old = induced_subgraph(g, comp)
+    if vc_branching(sub, budget=d) is not None:
+        raise ValueError("component cover number must exceed the requested drop")
+    pos = {v: i for i, v in enumerate(old)}
+
+    q = sub
+    to_current = list(range(sub.n))
+    chosen: list[Edge] = []
+
+    def original_edge(qe):
+        for x, y in g.sorted_edges():
+            if x in pos and y in pos:
+                a, b = to_current[pos[x]], to_current[pos[y]]
+                if (a, b) == qe or (b, a) == qe:
+                    return (x, y)
+        raise RuntimeError("quotient edge without an original preimage")
+
+    initial = vc_branching(sub).size
+    while True:
+        before = vc_branching(q)
+        if initial - before.size >= d:
+            break
+        cover = before.cover
+        picks = None
+        for e in q.sorted_edges():
+            if e[0] in cover and e[1] in cover:
+                picks = [e]
+                break
+        if picks is None:
+            for w in range(q.n):
+                if w in cover:
+                    continue
+                inb = sorted(x for x in q.adj[w] if x in cover)
+                if len(inb) >= 2:
+                    picks = [(min(inb[0], w), max(inb[0], w)), (min(inb[1], w), max(inb[1], w))]
+                    break
+        if picks is None:
+            raise RuntimeError("no two cover vertices within distance two")
+        chosen.extend(original_edge(e) for e in picks)
+        res = contract_set(q, picks)
+        q = res.quotient
+        to_current = [res.vmap[c] for c in to_current]
+        after = vc_branching(q)
+        if after.size > before.size - 1:
+            raise RuntimeError("a round must lose a cover vertex")
+    return chosen
+
+
+@functools.cache  # shared by the algorithm1 and min_contract_vc comparisons
+def _reference_algorithm1(g, k, d):
+    if k < 1 or d < 1:
+        raise ValueError("k and d must be positive")
+    if k < d:
+        return Decision(False, None, "trivial-no")
+    low_bc_witness = bc_decide(g, d - 1)
+    if low_bc_witness is None:
+        return Decision(True, _spanning_forest_witness(g, d), "bc-large")
+    big = _large_component(g, d)
+    if big is None:
+        value, witness = _dp_with_witness(g, d, paper_convention=False)
+        if value <= k:
+            return Decision(True, witness, "small-components")
+        return Decision(False, None, "small-components")
+    if k >= 2 * d:
+        return Decision(True, tuple(_reference_two_approx_drop(g, big, d)), "lemma3-budget")
+    anchors = sorted({v for e in low_bc_witness for v in e})
+    target = vc_with_modulator(g, anchors).size - d
+    all_edges = g.sorted_edges()
+    for size in range(1, k + 1):
+        for f in combinations(all_edges, size):
+            res = contract_set(g, f)
+            merged = {c for c, cnt in Counter(res.vmap).items() if cnt >= 2}
+            modulator = {res.vmap[v] for v in anchors} | merged
+            if vc_with_modulator(res.quotient, modulator).size <= target:
+                return Decision(True, f, "enumeration-yes")
+    return Decision(False, None, "enumeration-no")
+
+
+def _reference_min_contract_vc(g, d, paper_convention=False):
+    if vc_branching(g).size < d:
+        return None
+    if paper_convention and _large_component(g, d) is None:
+        value = dp_min_contract(g, d, paper_convention=True)
+        return None if math.isinf(value) else int(value)
+    forest_bound = sum(len(c) - 1 for c in connected_components(g))
+    for k in range(d, max(forest_bound, d) + 1):
+        if _reference_algorithm1(g, k, d).answer:
+            return k
+    raise RuntimeError("a feasible drop is reachable within the spanning forest bound")
+
+
+def _reference_min_contract_2approx(g, d, paper_convention=False):
+    if d < 1:
+        raise ValueError("drop must be positive")
+    if vc_branching(g).size < d:
+        return None
+    if bc_decide(g, d - 1) is None:
+        return d
+    big = _large_component(g, d)
+    if big is None:
+        value = dp_min_contract(g, d, paper_convention)
+        return None if math.isinf(value) else int(value)
+    return len(_reference_two_approx_drop(g, big, d))
+
+
+def _outcome(fn, *args):
+    """The return value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@functools.cache
+def _corpus():
+    """2,000 seeded graphs on up to 8 vertices with at most 8 edges, many of
+    them with several components."""
+    rng = random.Random(502)
+    graphs = []
+    while len(graphs) < 2000:
+        g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.3, 0.45, 0.6]))
+        if g.m <= 8:
+            graphs.append(g)
+    return graphs
+
+
+def test_two_approx_drop_matches_reference():
+    rng = random.Random(505)
+    raised = returned = 0
+    for g in _corpus():
+        comps = connected_components(g)
+        sets = comps + [sorted(rng.sample(range(g.n), rng.randint(1, g.n)))]
+        for d in (0, 1, 2, 3):
+            for comp in sets:
+                want = _outcome(_reference_two_approx_drop, g, comp, d)
+                assert _outcome(two_approx_drop, g, comp, d) == want, (g.edges, comp, d)
+                if isinstance(want, list):
+                    returned += 1
+                else:
+                    raised += 1
+    assert returned >= 1000 and raised >= 1000
+
+
+def test_algorithm1_matches_reference():
+    traces = Counter()
+    for g in _corpus():
+        for d in (1, 2, 3):
+            for k in range(1, 2 * d + 1):
+                want = _reference_algorithm1(g, k, d)
+                assert algorithm1(g, k, d) == want, (g.edges, k, d)
+                traces[want.trace] += 1
+    assert all(traces[t] >= 50 for t in traces) and len(traces) == 6, traces
+
+
+@pytest.mark.parametrize("paper_convention", [False, True])
+def test_min_contract_matches_reference(paper_convention):
+    values = Counter()
+    for g in _corpus():
+        for d in (1, 2, 3):
+            want = _reference_min_contract_vc(g, d, paper_convention)
+            assert min_contract_vc(g, d, paper_convention) == want, (g.edges, d)
+            want_approx = _reference_min_contract_2approx(g, d, paper_convention)
+            assert min_contract_2approx(g, d, paper_convention) == want_approx, (g.edges, d)
+            values[want] += 1
+            values["approx-above-exact"] += want_approx != want
+    assert values[None] >= 100 and values["approx-above-exact"] >= 10, values
+

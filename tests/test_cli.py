@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import contrablock
 from contrablock.cli import main
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
@@ -201,3 +207,79 @@ class TestErrors:
 
     def test_non_edge(self, files, capsys):
         assert main(["blocker-edge", files["p4.gr"], "-e", "0,3", "--family", "vc"]) == 2
+
+
+class TestValueErrorsExitTwo:
+    """Library ValueErrors reach ``main`` unwrapped: one ``error:`` line on
+    stderr, nothing on stdout, exit code 2."""
+
+    def check(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    def test_clique_too_small(self, files, capsys):
+        argv = ["verify-claims", files["phi0.cnf"], "--theorem", "2", "--clique", "2"]
+        self.check(capsys, argv, "clique size must be at least 3")
+
+    def test_path_too_short(self, files, capsys):
+        argv = ["verify-claims", files["phi0.cnf"], "--theorem", "3", "--path", "3"]
+        self.check(capsys, argv, "path pattern needs at least 4 vertices")
+
+    def test_complete_gadget(self, files, capsys, tmp_path):
+        k4 = tmp_path / "k4.gr"
+        k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        argv = ["verify-claims", files["phi0.cnf"], "--theorem", "1", "--gadget", str(k4)]
+        self.check(capsys, argv, "pattern must not be complete")
+
+    def test_blocker_edge_on_non_edge(self, files, capsys):
+        argv = ["blocker-edge", files["p4.gr"], "-e", "0,3", "--family", "vc"]
+        self.check(capsys, argv, "edge (0, 3) not in graph")
+
+    @pytest.mark.parametrize("flags", [[], ["--approx"], ["--paper-convention"],
+                                       ["--approx", "--paper-convention"]])
+    def test_min_contract_zero_drop(self, tmp_path, capsys, flags):
+        edgeless = tmp_path / "e3.gr"
+        edgeless.write_text("3 0\n")
+        self.check(capsys, ["min-contract-vc", str(edgeless), "-d", "0", *flags],
+                   "drop must be positive")
+
+
+BYTE_IDENTITY_GRAPHS = {
+    "c5.gr": C5,
+    "p4.gr": P4,
+    "c6.gr": "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n",
+    "two_k3.gr": "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n",
+    "k33.gr": "6 9\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
+    "petersen.gr": "10 15\n0 1\n1 2\n2 3\n3 4\n0 4\n0 5\n1 6\n2 7\n3 8\n4 9\n"
+                   "5 7\n7 9\n6 9\n6 8\n5 8\n",
+}
+
+BYTE_IDENTITY_COMMANDS = [
+    ["contract-vc", "c5.gr", "-k", "1", "-d", "1", "--witness"],  # bc-large
+    ["contract-vc", "two_k3.gr", "-k", "3", "-d", "3", "--witness"],  # small-components
+    ["contract-vc", "p4.gr", "-k", "1", "-d", "1", "--witness"],  # enumeration-yes
+    ["contract-vc", "c6.gr", "-k", "4", "-d", "2", "--witness"],  # lemma3-budget
+    ["min-contract-vc", "k33.gr", "-d", "2"],
+    ["min-contract-vc", "k33.gr", "-d", "2", "--approx"],
+    ["min-contract-vc", "c6.gr", "-d", "2"],
+    ["min-contract-vc", "c6.gr", "-d", "2", "--approx"],  # two_approx_drop
+    ["bc", "petersen.gr", "--max", "3"],
+    ["tau", "petersen.gr", "--family", "oct"],
+    ["verify-claims", "phi0.cnf", "--theorem", "1"],
+]
+
+
+def test_stdout_is_independent_of_hash_seed(tmp_path):
+    """Each command prints the same bytes under two string-hash seeds."""
+    for name, text in {**BYTE_IDENTITY_GRAPHS, "phi0.cnf": PHI0}.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(contrablock.__file__).resolve().parents[1])
+    for argv in BYTE_IDENTITY_COMMANDS:
+        outs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-m", "contrablock.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0], argv
