@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 from .bipartite_contraction import bc_decide
@@ -36,15 +35,42 @@ TRACES = (
 )
 
 
-@dataclass(frozen=True)
 class Decision:
-    answer: bool
-    witness: tuple[Edge, ...] | None
-    trace: str
+    """The answer, its witness edges (None for NO) and the cascade branch,
+    ``trace``, that decided it.
 
-    def __post_init__(self):
-        if self.trace not in TRACES:
-            raise ValueError(f"unknown trace {self.trace!r}")
+    ``witness`` may also be given as a function of no arguments; it is called
+    on the first read of ``.witness``, so a caller that never reads the
+    witness never pays for it.  Decisions compare by value either way.
+    """
+
+    __slots__ = ("answer", "trace", "_witness")
+
+    def __init__(self, answer: bool, witness, trace: str):
+        if trace not in TRACES:
+            raise ValueError(f"unknown trace {trace!r}")
+        for name, value in (("answer", answer), ("trace", trace), ("_witness", witness)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Decision is immutable: cannot set {name!r}")
+
+    @property
+    def witness(self) -> tuple[Edge, ...] | None:
+        if callable(self._witness):
+            object.__setattr__(self, "_witness", self._witness())
+        return self._witness
+
+    def __eq__(self, other):
+        if not isinstance(other, Decision):
+            return NotImplemented
+        return (self.answer, self.trace, self.witness) == (other.answer, other.trace, other.witness)
+
+    def __hash__(self):
+        return hash((self.answer, self.trace))  # equal decisions share these
+
+    def __repr__(self):
+        return f"Decision(answer={self.answer!r}, witness={self.witness!r}, trace={self.trace!r})"
 
 
 def _spanning_forest_witness(g: Graph, d: int) -> tuple[Edge, ...]:
@@ -64,7 +90,7 @@ def contraction_vc_1(g: Graph) -> Decision:
     immediate yes-instances; bipartite ones are settled by scanning every
     edge with the contracted-cover formula."""
     if bipartition(g) is None:
-        return Decision(True, _spanning_forest_witness(g, 1), "bc-large")
+        return Decision(True, lambda: _spanning_forest_witness(g, 1), "bc-large")
     base = vc_bipartite(g).size
     for e in g.sorted_edges():
         if vc_after_contraction(g, e) < base:
@@ -143,7 +169,7 @@ def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
         return len(tree), tuple(tree)
     target = vc_c - d_prime
     cap = min(2 * d_prime, c.m)
-    for size in range(1, cap + 1):
+    for size in range(d_prime, cap + 1):  # each contraction drops the cover by <= 1
         for f in combinations(c.sorted_edges(), size):
             q = contract_set(c, f).quotient
             if vc_branching(q, budget=target) is not None:
@@ -226,7 +252,7 @@ def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | N
     anchors = sorted({v for e in low_bc_witness for v in e})
     target = vc_with_modulator(g, anchors).size - d
     all_edges = g.sorted_edges()
-    for size in range(1, k + 1):
+    for size in range(d, k + 1):  # each contraction drops the cover by <= 1
         for f in combinations(all_edges, size):
             res = contract_set(g, f)
             merged = {c for c, cnt in Counter(res.vmap).items() if cnt >= 2}
@@ -245,7 +271,7 @@ def algorithm1(g: Graph, k: int, d: int) -> Decision:
 
     low_bc_witness = bc_decide(g, d - 1)
     if low_bc_witness is None:
-        return Decision(True, _spanning_forest_witness(g, d), "bc-large")
+        return Decision(True, lambda: _spanning_forest_witness(g, d), "bc-large")
 
     big = _large_component(g, d)
     if big is None:
@@ -270,7 +296,7 @@ def _min_contract(g: Graph, d: int, paper_convention: bool, approx: bool) -> int
     none, by Lemma 3) or, under ``approx``, the size of two_approx_drop."""
     if d < 1:
         raise ValueError("drop must be positive")
-    if vc_branching(g).size < d:
+    if vc_branching(g, d - 1) is not None:
         return None
     low_bc_witness = bc_decide(g, d - 1)
     if low_bc_witness is None:

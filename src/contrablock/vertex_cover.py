@@ -30,7 +30,9 @@ def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
     ``adj`` holds only vertices with neighbours and is consumed.  Degree-1
     vertices are resolved by taking the neighbor; otherwise branch on a
     maximum-degree vertex v: either v joins the cover or all of N(v) does.
-    Smallest-index tie-breaking keeps the witness deterministic.
+    Smallest-index tie-breaking keeps the witness deterministic, and the
+    matching bound only cuts subtrees that hold no cover, so it never
+    changes which cover is found.
     """
     picks: set[int] = set()
     while True:
@@ -52,6 +54,18 @@ def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
     if len(picks) >= k:
         return None
     budget = k - len(picks)
+
+    # Every edge of a matching needs its own cover vertex, so a greedy
+    # maximal matching with more edges than the budget rules out this subtree.
+    matched: set[int] = set()
+    for u, ns in adj.items():
+        if u not in matched:
+            for w in ns:
+                if w not in matched:
+                    matched.update((u, w))
+                    break
+    if len(matched) > 2 * budget:
+        return None
 
     v = max(sorted(adj), key=lambda x: len(adj[x]))
     for take in ([v], sorted(adj[v])):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import contrablock
+from contrablock import contraction_vc
 from contrablock.cli import main
+from contrablock.graphs import serialize_graph
+
+from .conftest import random_graph
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -56,6 +61,26 @@ class TestContractVc:
     def test_c5_yes(self, files, capsys):
         code, out = run(capsys, ["contract-vc", files["c5.gr"], "-k", "1", "-d", "1"])
         assert code == 0 and out.splitlines()[0] == "YES"
+
+    def test_bc_large_without_witness_never_builds_it(self, tmp_path, capsys, monkeypatch):
+        """An exact cover of G(120, 0.15) takes tens of seconds, and without
+        --witness the bc-large answer needs none."""
+        path = tmp_path / "g120.gr"
+        path.write_text(serialize_graph(random_graph(random.Random(120), 120, 0.15)))
+
+        def refuse(g, d):
+            raise AssertionError("witness built but not printed")
+
+        monkeypatch.setattr(contraction_vc, "_spanning_forest_witness", refuse)
+        assert run(capsys, ["contract-vc", str(path), "-k", "1", "-d", "1"]) == (0, "YES\n")
+
+    def test_bc_large_witness_is_the_eager_one(self, tmp_path, capsys):
+        g = random_graph(random.Random(60), 60, 0.15)
+        path = tmp_path / "g60.gr"
+        path.write_text(serialize_graph(g))
+        (u, v), = contraction_vc._spanning_forest_witness(g, 1)
+        code, out = run(capsys, ["contract-vc", str(path), "-k", "1", "-d", "1", "--witness"])
+        assert code == 0 and out == f"YES\n{u}-{v}\n"
 
 
 class TestVcAndTau:
@@ -253,6 +278,7 @@ BYTE_IDENTITY_GRAPHS = {
     "k33.gr": "6 9\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n",
     "petersen.gr": "10 15\n0 1\n1 2\n2 3\n3 4\n0 4\n0 5\n1 6\n2 7\n3 8\n4 9\n"
                    "5 7\n7 9\n6 9\n6 8\n5 8\n",
+    "g30.gr": serialize_graph(random_graph(random.Random(30), 30, 0.15)),  # not bipartite
 }
 
 BYTE_IDENTITY_COMMANDS = [
@@ -267,6 +293,7 @@ BYTE_IDENTITY_COMMANDS = [
     ["bc", "petersen.gr", "--max", "3"],
     ["tau", "petersen.gr", "--family", "oct"],
     ["verify-claims", "phi0.cnf", "--theorem", "1"],
+    ["vc", "g30.gr"],  # the cover search's matching bound walks set order
 ]
 
 

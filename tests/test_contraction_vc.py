@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from contrablock import contraction_vc
 from contrablock.contraction_vc import (
     Decision,
     algorithm1,
@@ -195,6 +196,33 @@ class TestAlgorithm1:
         dec = algorithm1(g, 1, 1)
         assert not dec.answer and dec.trace == "enumeration-no"
         assert contraction_vc_1(g) == dec
+
+    def test_bc_large_witness_is_built_on_first_read(self, monkeypatch):
+        """The bc-large witness equals the eager one and is only built when
+        read; equal decisions hash equal whether or not it was built."""
+        rng = random.Random(61)
+        odd = [cycle_graph(5), complete_graph(4), disjoint_union(cycle_graph(7), path_graph(3))]
+        odd += [random_graph(rng, 12, 0.3) for _ in range(4)]
+        for g in odd:
+            eager = Decision(True, contraction_vc._spanning_forest_witness(g, 1), "bc-large")
+            assert algorithm1(g, 1, 1) == eager == contraction_vc_1(g), g.edges
+            assert hash(algorithm1(g, 1, 1)) == hash(eager) == hash(contraction_vc_1(g))
+            assert len({algorithm1(g, 1, 1), eager}) == 1
+
+        def refuse(g, d):
+            raise AssertionError("witness built before it was read")
+
+        monkeypatch.setattr(contraction_vc, "_spanning_forest_witness", refuse)
+        two_k3 = disjoint_union(complete_graph(3), complete_graph(3))
+        for dec in (algorithm1(two_k3, 2, 2), contraction_vc_1(cycle_graph(5))):
+            assert dec.answer and dec.trace == "bc-large"
+            with pytest.raises(AssertionError):
+                dec.witness
+
+    def test_decision_is_immutable(self):
+        dec = algorithm1(cycle_graph(5), 1, 1)
+        with pytest.raises(AttributeError):
+            dec.answer = False
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

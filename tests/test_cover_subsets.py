@@ -10,9 +10,12 @@ independent oracle for the matching size.
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 
 import networkx as nx
 
+from contrablock import vertex_cover
 from contrablock.contraction_vc import _large_component
 from contrablock.graphs import (
     Graph,
@@ -247,6 +250,22 @@ class TestBranchingOnSubsets:
             assert vc_branching(g, budget, allowed) == want, (g, allowed, budget)
             nones += want is None
         assert nones >= 200
+
+    def test_matching_bound_prunes_the_search(self, monkeypatch):
+        """On a seeded G(60, 0.15) the matching bound cuts the search to at
+        most half the nodes of the reference, which has no bound, and the
+        cover found is the same.  Both searches recurse through their module
+        attribute, so the patched counters see every node."""
+        g = random_graph(random.Random(60), 60, 0.15)
+        nodes = Counter()
+        for module, name in [(vertex_cover, "_decide_cover"),
+                             (sys.modules[__name__], "_reference_decide_cover")]:
+            def counted(adj, k, name=name, search=getattr(module, name)):
+                nodes[name] += 1
+                return search(adj, k)
+            monkeypatch.setattr(module, name, counted)
+        assert vc_branching(g) == _reference_vc_branching(g)
+        assert 2 * nodes["_decide_cover"] <= nodes["_reference_decide_cover"], nodes
 
 
 class TestBipartiteOnSubsets:
