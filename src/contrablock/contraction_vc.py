@@ -9,7 +9,6 @@ bounded enumeration with a bipartite modulator otherwise.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import combinations
 
 from .bipartite_contraction import bc_decide
@@ -23,7 +22,13 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
-from .vertex_cover import vc_after_contraction, vc_bipartite, vc_branching, vc_with_modulator
+from .vertex_cover import (
+    vc_after_contraction,
+    vc_bipartite,
+    vc_branching,
+    vc_with_modulator,
+    vc_with_modulator_fits,
+)
 
 TRACES = (
     "trivial-no",
@@ -172,6 +177,8 @@ def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
     for size in range(d_prime, cap + 1):  # each contraction drops the cover by <= 1
         for f in combinations(c.sorted_edges(), size):
             q = contract_set(c, f).quotient
+            if q.n > c.n - size:
+                continue  # an edge of f closes a cycle, so a smaller set has this quotient
             if vc_branching(q, budget=target) is not None:
                 return size, f
     raise RuntimeError("a drop of d' needs at most 2d' contractions when vc > d'")
@@ -247,17 +254,22 @@ def dp_min_contract(g: Graph, d: int, paper_convention: bool = False):
 def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | None:
     """The first edge set of at most k edges, by size and then in sorted
     order, whose contraction drops the cover number by d, or None.  Every
-    cover computation goes through the modulator built from the bc witness
-    plus merged classes."""
+    cover question goes through the modulator built from the bc witness
+    plus merged classes; each quotient only asks whether its cover fits
+    the target.
+
+    A set with an edge that closes a cycle is skipped: its quotient is that
+    of a smaller set, which either was tried already or is too small."""
     anchors = sorted({v for e in low_bc_witness for v in e})
     target = vc_with_modulator(g, anchors).size - d
     all_edges = g.sorted_edges()
     for size in range(d, k + 1):  # each contraction drops the cover by <= 1
         for f in combinations(all_edges, size):
             res = contract_set(g, f)
-            merged = {c for c, cnt in Counter(res.vmap).items() if cnt >= 2}
-            modulator = {res.vmap[v] for v in anchors} | merged
-            if vc_with_modulator(res.quotient, modulator).size <= target:
+            if res.quotient.n > g.n - size:
+                continue
+            modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
+            if vc_with_modulator_fits(res.quotient, modulator, target):
                 return f
     return None
 

@@ -155,8 +155,18 @@ def contract_set(g: Graph, contracted) -> ContractionResult:
     roots = sorted({find(v) for v in range(g.n)})
     index = {r: i for i, r in enumerate(roots)}
     vmap = tuple(index[find(v)] for v in range(g.n))
-    qedges = {_norm(vmap[u], vmap[v]) for u, v in g.edges if vmap[u] != vmap[v]}
-    return ContractionResult(Graph.from_edges(len(roots), qedges), vmap)
+    # A quotient of a simple graph has no loops and no repeated edges, so it
+    # is built directly rather than re-validated by Graph.from_edges.
+    nbrs: list[set[int]] = [set() for _ in roots]
+    qedges: set[Edge] = set()
+    for u, v in g.edges:
+        a, b = vmap[u], vmap[v]
+        if a != b:
+            qedges.add(_norm(a, b))
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    quotient = Graph(len(roots), frozenset(qedges), tuple(frozenset(s) for s in nbrs))
+    return ContractionResult(quotient, vmap)
 
 
 def contract_edge(g: Graph, e: Edge) -> ContractionResult:

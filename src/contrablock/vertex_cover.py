@@ -166,20 +166,22 @@ def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
     return CoverResult(len(cover), frozenset(cover))
 
 
-def vc_with_modulator(g: Graph, modulator) -> CoverResult:
-    """Minimum vertex cover when deleting ``modulator`` leaves a bipartite
-    graph: try every split of the modulator into cover / non-cover vertices;
-    non-cover vertices force their whole neighborhood into the cover, and the
-    bipartite remainder is solved exactly."""
+def _modulator_splits(g: Graph, modulator, budget: int | None = None):
+    """Each feasible split of a bipartite modulator, in mask order, as
+    (taken, remaining, left): ``taken`` is the cover part fixed by the split
+    (the modulator vertices inside plus the neighbours the others force in),
+    ``remaining`` the bipartite vertex set still to cover and ``left`` one
+    side of it.  Splits whose ``taken`` exceeds ``budget`` are skipped.
+    ``g - modulator`` is coloured once, and an invalid modulator raises
+    ValueError on the first step."""
     b = sorted(set(modulator))
     for v in b:
         if not 0 <= v < g.n:
             raise ValueError(f"modulator vertex {v} out of range")
     rest = set(range(g.n)).difference(b)
-    if bipartition(g, rest) is None:
+    sides = bipartition(g, rest)
+    if sides is None:
         raise ValueError("graph minus modulator is not bipartite")
-
-    best: CoverResult | None = None
     for mask in range(1 << len(b)):
         inside = {b[i] for i in range(len(b)) if mask >> i & 1}
         outside = {v for v in b if v not in inside}
@@ -192,12 +194,35 @@ def vc_with_modulator(g: Graph, modulator) -> CoverResult:
             forced |= g.adj[v]
         if not feasible:
             continue
-        cover = inside | forced | vc_bipartite(g, rest - forced).cover
+        taken = inside | forced
+        if budget is None or len(taken) <= budget:
+            yield taken, rest - forced, [v for v in sides[0] if v not in forced]
+
+
+def vc_with_modulator(g: Graph, modulator) -> CoverResult:
+    """Minimum vertex cover when deleting ``modulator`` leaves a bipartite
+    graph: try every split of the modulator into cover / non-cover vertices;
+    non-cover vertices force their whole neighborhood into the cover, and the
+    bipartite remainder is solved exactly."""
+    best: CoverResult | None = None
+    for taken, remaining, _ in _modulator_splits(g, modulator):
+        cover = taken | vc_bipartite(g, remaining).cover
         if best is None or len(cover) < best.size:
             best = CoverResult(len(cover), frozenset(cover))
     if best is None:
         raise RuntimeError("the mask with every modulator vertex inside always works")
     return best
+
+
+def vc_with_modulator_fits(g: Graph, modulator, budget: int) -> bool:
+    """Whether ``vc_with_modulator(g, modulator).size <= budget``, decided
+    without building a cover: each split costs its fixed part plus a maximum
+    matching of the bipartite remainder (König), and the first split that
+    fits answers."""
+    for taken, remaining, left in _modulator_splits(g, modulator, budget):
+        if len(taken) + len(maximum_matching(g, left, remaining)) // 2 <= budget:
+            return True
+    return False
 
 
 def vc_after_contraction(g: Graph, e) -> int:

@@ -28,6 +28,13 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid; vertex cols * r + c sits in row r, column c."""
+    return Graph.from_edges(rows * cols,
+                            [(cols * r + c, cols * r + c + 1) for r in range(rows) for c in range(cols - 1)]
+                            + [(cols * r + c, cols * r + c + cols) for r in range(rows - 1) for c in range(cols)])
+
+
 def random_connected_graph(
     rng: random.Random, n_lo: int, n_hi: int, max_edges: int = 17
 ) -> Graph:

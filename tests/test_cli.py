@@ -11,7 +11,7 @@ from contrablock import contraction_vc
 from contrablock.cli import main
 from contrablock.graphs import serialize_graph
 
-from .conftest import random_graph
+from .conftest import grid_graph, random_graph
 
 P4 = "4 3\n0 1\n1 2\n2 3\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
@@ -279,12 +279,14 @@ BYTE_IDENTITY_GRAPHS = {
     "petersen.gr": "10 15\n0 1\n1 2\n2 3\n3 4\n0 4\n0 5\n1 6\n2 7\n3 8\n4 9\n"
                    "5 7\n7 9\n6 9\n6 8\n5 8\n",
     "g30.gr": serialize_graph(random_graph(random.Random(30), 30, 0.15)),  # not bipartite
+    "grid4x4.gr": serialize_graph(grid_graph(4, 4)),
 }
 
 BYTE_IDENTITY_COMMANDS = [
     ["contract-vc", "c5.gr", "-k", "1", "-d", "1", "--witness"],  # bc-large
     ["contract-vc", "two_k3.gr", "-k", "3", "-d", "3", "--witness"],  # small-components
     ["contract-vc", "p4.gr", "-k", "1", "-d", "1", "--witness"],  # enumeration-yes
+    ["contract-vc", "grid4x4.gr", "-k", "5", "-d", "3", "--witness"],  # enumeration-yes, modulator decision
     ["contract-vc", "c6.gr", "-k", "4", "-d", "2", "--witness"],  # lemma3-budget
     ["min-contract-vc", "k33.gr", "-d", "2"],
     ["min-contract-vc", "k33.gr", "-d", "2", "--approx"],
