@@ -250,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-claims", help="check the instance claims for a clean CNF")
     p.add_argument("cnf")
     _add_instance_flags(p)
-    p.add_argument("--sample-edges", type=int)
-    p.add_argument("--full-scan", action="store_true")
+    scan = p.add_mutually_exclusive_group()
+    scan.add_argument("--sample-edges", type=int)
+    scan.add_argument("--full-scan", action="store_true")
     p.set_defaults(func=_cmd_verify_claims)
 
     p = subs.add_parser("blocker-edge", help="does contracting one edge drop the hitting number?")

@@ -16,12 +16,11 @@ from .graphs import (
     Edge,
     Graph,
     complete_graph,
-    contract_set,
     is_two_connected,
     path_graph,
     subdivide_edges,
 )
-from .transversal import HitFamily, find_dropping_edge, min_transversal
+from .transversal import HitFamily, first_dropping_edge, hitting_number
 
 Literal = int  # +v / -v for 1-based variable v
 Clause = tuple[Literal, ...]
@@ -87,6 +86,13 @@ def clean_formula(n: int, clauses) -> CleanFormula:
     return CleanFormula(n, clauses)
 
 
+def _cnf_int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise CleanFormulaError([f"non-integer {what} {tok!r}"]) from None
+
+
 def parse_cnf(text: str) -> CleanFormula:
     """DIMACS CNF parser with clean validation."""
     n = m = None
@@ -100,12 +106,12 @@ def parse_cnf(text: str) -> CleanFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CleanFormulaError([f"bad problem line {line!r}"])
-            n, m = int(parts[2]), int(parts[3])
+            n, m = _cnf_int(parts[2], "header field"), _cnf_int(parts[3], "header field")
             continue
         if n is None:
             raise CleanFormulaError(["clause before 'p cnf' line"])
         for tok in line.split():
-            lit = int(tok)
+            lit = _cnf_int(tok, "literal")
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -539,16 +545,15 @@ def verify_claims(
     lower it (scanned over all edges, or an evenly spaced sample on demand);
     when it exceeds the threshold, some contraction must lower it.
     """
+    if sample_edges is not None and sample_edges < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample_edges}")
     phi: CleanFormula = inst.meta["formula"]
     if fam is None:
         fam = default_family(inst)
     assignment = brute_force_sat(phi)
     sat = assignment is not None
 
-    result = min_transversal(inst.graph, fam)
-    if result is None:
-        raise RuntimeError("unbudgeted min_transversal found no transversal")
-    tau = result[0]
+    tau = hitting_number(inst.graph, fam)
     threshold = inst.threshold
     lower_bound_ok = tau >= threshold
     claim1 = "pass" if (tau == threshold) == sat else "fail"
@@ -559,8 +564,8 @@ def verify_claims(
     scan_mode = "none"
     dropping = None
     failing = None
+    edges = inst.graph.sorted_edges()
     if tau == threshold:
-        edges = inst.graph.sorted_edges()
         if full_scan or sample_edges is None and phi.n <= 2:
             scan = edges
             scan_mode = "full"
@@ -576,16 +581,11 @@ def verify_claims(
         if scan is None:
             claim2 = "skipped"
         else:
-            claim2 = "pass"
-            for e in scan:
-                scanned += 1
-                quotient = contract_set(inst.graph, [e]).quotient
-                if min_transversal(quotient, fam, budget=tau - 1) is not None:
-                    claim2 = "fail"
-                    failing = e
-                    break
+            failing = first_dropping_edge(inst.graph, fam, scan, tau)
+            claim2 = "pass" if failing is None else "fail"
+            scanned = len(scan) if failing is None else scan.index(failing) + 1
     else:
-        dropping = find_dropping_edge(inst.graph, fam)
+        dropping = first_dropping_edge(inst.graph, fam, edges, tau)
         claim3 = "pass" if dropping is not None else "fail"
 
     return ClaimReport(

@@ -9,6 +9,7 @@ occurrence search with branching on the occurrence's vertices.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import warnings
 from dataclasses import dataclass
@@ -303,82 +304,80 @@ def _alive_components(g: Graph, alive: frozenset[int]) -> list[frozenset[int]]:
     return [frozenset(c) for c in components(g.adj, alive)]
 
 
-def _packing_lb(g: Graph, fam: HitFamily, alive: frozenset[int], stop_at: int) -> int:
+def _packing_lb(occurrence, alive: frozenset[int], stop_at: int) -> int:
     """Greedy count of vertex-disjoint occurrences: a lower bound on the
     hitting number, capped at ``stop_at``."""
     count = 0
-    current = set(alive)
     while count < stop_at:
-        occ = _family_occurrence(g, fam, frozenset(current))
+        occ = occurrence(alive)
         if occ is None:
             break
-        current.difference_update(occ.vertices)
+        alive = alive.difference(occ.vertices)
         count += 1
     return count
 
 
-def _hit_component(g, fam, comp: frozenset[int], cap: int, memo) -> tuple[int, frozenset[int]] | None:
+def _split_solve(parts, lbs: list[int], cap: int, solve) -> tuple[int, frozenset[int]] | None:
+    """Solve independent parts in order, each within the cap left over after
+    the lower bounds of the parts still to come; ``solve(part, share)``
+    returns (size, picks) with size <= share, or None.  The sizes add up, so
+    the total stays within ``cap``."""
+    rest = sum(lbs)
+    if rest > cap:
+        return None
+    total = 0
+    picks: set[int] = set()
+    for part, lb in zip(parts, lbs):
+        rest -= lb
+        res = solve(part, cap - total - rest)
+        if res is None:
+            return None
+        total += res[0]
+        picks |= res[1]
+    return total, frozenset(picks)
+
+
+# ``occurrence`` below is ``_family_occurrence`` bound to one host graph and
+# family and cached per vertex set, so one ``min_transversal`` call searches
+# each vertex set at most once.  ``memo`` maps a component to ("exact", size,
+# picks) or ("lb", lower bound).
+
+
+def _hit_component(g, occurrence, comp: frozenset[int], cap: int, memo) -> tuple[int, frozenset[int]] | None:
     entry = memo.get(comp)
     if entry is not None and entry[0] == "exact":
         return (entry[1], entry[2]) if entry[1] <= cap else None
     if cap < 0:
         return None
-    occ = _family_occurrence(g, fam, comp)
+    occ = occurrence(comp)
     if occ is None:
         memo[comp] = ("exact", 0, frozenset())
         return 0, frozenset()
-    lb = entry[1] if entry is not None else None
-    if lb is None:
-        lb = _packing_lb(g, fam, comp, cap + 1)
-        memo[comp] = ("lb", lb)
-    if lb > cap:
+    if entry is None:
+        entry = memo[comp] = ("lb", _packing_lb(occurrence, comp, cap + 1))
+    if entry[1] > cap:
         return None
     best: tuple[int, frozenset[int]] | None = None
     for v in occ.vertices:
         allowance = (best[0] - 2) if best is not None else (cap - 1)
-        sub = _hit_solve(g, fam, comp - {v}, allowance, memo)
+        sub = _hit_solve(g, occurrence, comp - {v}, allowance, memo)
         if sub is not None:
-            candidate = (sub[0] + 1, sub[1] | {v})
-            if best is None or candidate[0] < best[0]:
-                best = candidate
+            best = (sub[0] + 1, sub[1] | {v})
     if best is None:
-        stored = memo.get(comp)
-        known = stored[1] if stored is not None and stored[0] == "lb" else 0
-        memo[comp] = ("lb", max(known, cap + 1))
+        memo[comp] = ("lb", cap + 1)
         return None
     memo[comp] = ("exact", best[0], best[1])
     return best
 
 
-def _hit_solve(g, fam, alive: frozenset[int], cap: int, memo) -> tuple[int, frozenset[int]] | None:
+def _hit_solve(g, occurrence, alive: frozenset[int], cap: int, memo) -> tuple[int, frozenset[int]] | None:
     if cap < 0:
         return None
     comps = _alive_components(g, alive)
-    if not comps:
-        return 0, frozenset()
     if len(comps) == 1:
-        return _hit_component(g, fam, comps[0], cap, memo)
-    lbs = []
-    for comp in comps:
-        entry = memo.get(comp)
-        if entry is not None:
-            lbs.append(entry[1])
-        else:
-            lbs.append(1 if _family_occurrence(g, fam, comp) is not None else 0)
-    if sum(lbs) > cap:
-        return None
-    total = 0
-    picks: set[int] = set()
-    for i, comp in enumerate(comps):
-        rest = sum(lbs[i + 1 :])
-        res = _hit_component(g, fam, comp, cap - total - rest, memo)
-        if res is None:
-            return None
-        total += res[0]
-        picks |= res[1]
-    if total > cap:
-        return None
-    return total, frozenset(picks)
+        return _hit_component(g, occurrence, comps[0], cap, memo)
+    lbs = [memo[c][1] if c in memo else int(occurrence(c) is not None) for c in comps]
+    return _split_solve(comps, lbs, cap, lambda comp, share: _hit_component(g, occurrence, comp, share, memo))
 
 
 def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
@@ -393,12 +392,13 @@ def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
         return odd_cycle_transversal(g, budget)
     _warn_if_not_antichain(fam)
     cap = g.n if budget is None else min(budget, g.n)
-    memo: dict = {}
-    res = _hit_solve(g, fam, frozenset(range(g.n)), cap, memo)
+    occurrence = functools.cache(lambda alive: _family_occurrence(g, fam, alive))
+    everything = frozenset(range(g.n))
+    res = _hit_solve(g, occurrence, everything, cap, {})
     if res is None:
         return None
     size, picks = res
-    if _family_occurrence(g, fam, frozenset(range(g.n)) - picks) is not None:
+    if occurrence(everything - picks) is not None:
         raise RuntimeError("transversal leaves a pattern occurrence")
     return size, frozenset(picks)
 
@@ -490,17 +490,26 @@ def _mg_reduce(adj, forbidden) -> set[int] | None:
 
 
 def _mg_components(adj) -> list[dict[int, dict[int, int]]]:
-    return [{v: dict(adj[v]) for v in comp} for comp in components(adj, adj)]
+    """The components of a multigraph; they share ``adj``'s neighbour
+    dicts, so a caller that changes one must not use ``adj`` again."""
+    return [{v: adj[v] for v in comp} for comp in components(adj, adj)]
 
 
-def _mg_find_cycle(adj) -> list[int] | None:
-    for v in sorted(adj):
-        if adj[v].get(v, 0):
-            return [v]
+def _mg_double_edge(adj) -> tuple[int, int] | None:
+    """The first doubled edge (v, w), v < w, in sorted order, or None."""
     for v in sorted(adj):
         for w, c in sorted(adj[v].items()):
             if w > v and c >= 2:
-                return [v, w]
+                return v, w
+    return None
+
+
+def _mg_find_cycle(adj) -> list[int] | None:
+    """A cycle of a loop-free multigraph (``_mg_reduce`` removes every loop),
+    or None."""
+    pair = _mg_double_edge(adj)
+    if pair is not None:
+        return list(pair)
     seen: set[int] = set()
     for s in sorted(adj):
         if s in seen:
@@ -543,79 +552,52 @@ def _mg_packing_lb(adj) -> int:
 
 
 def _fvs_solve(adj, forbidden: frozenset[int], cap: int) -> tuple[int, set[int]] | None:
+    """Minimum feedback vertex set of the multigraph avoiding ``forbidden``,
+    if it has at most ``cap`` vertices; (size, set), or None.  Consumes
+    ``adj``: every caller passes a multigraph, or a component of one, that
+    it does not use again."""
     if cap < 0:
         return None
-    adj = _mg_copy(adj)
     forced = _mg_reduce(adj, forbidden)
     if forced is None or len(forced) > cap:
         return None
-    total = len(forced)
-    picks = set(forced)
-    if not adj:
-        return total, picks
-
+    rem = cap - len(forced)
     comps = _mg_components(adj)
-    if len(comps) > 1:
+    if len(comps) != 1:
         lbs = [_mg_packing_lb(c) for c in comps]
-        if total + sum(lbs) > cap:
-            return None
-        for i, comp in enumerate(comps):
-            res = _fvs_solve(comp, forbidden, cap - total - sum(lbs[i + 1 :]))
-            if res is None:
-                return None
-            total += res[0]
-            picks |= res[1]
-        return (total, picks) if total <= cap else None
-
-    rem = cap - total
-    if _mg_packing_lb(adj) > rem:
+        res = _split_solve(comps, lbs, rem, lambda comp, share: _fvs_solve(comp, forbidden, share))
+    elif _mg_packing_lb(adj) > rem:
         return None
-
-    pair = None
-    for v in sorted(adj):
-        for w, c in sorted(adj[v].items()):
-            if w > v and c >= 2:
-                pair = (v, w)
-                break
-        if pair:
-            break
-
-    best: tuple[int, set[int]] | None = None
-
-    def consider(res, extra_vertex=None):
-        nonlocal best
-        if res is None:
-            return
-        size, chosen = res
-        if extra_vertex is not None:
-            size += 1
-            chosen = chosen | {extra_vertex}
-        if best is None or size < best[0]:
-            best = (size, chosen)
-
-    def allowance() -> int:
-        return rem if best is None else best[0] - 1
-
-    if pair is not None:
-        for x in pair:
-            if x in forbidden:
-                continue
-            child = _mg_copy(adj)
-            _mg_delete(child, x)
-            consider(_fvs_solve(child, forbidden, allowance() - 1), x)
     else:
-        candidates = [v for v in adj if v not in forbidden]
-        if not candidates:
-            return None
-        v = max(sorted(candidates), key=lambda x: _mg_degree(adj, x))
-        child = _mg_copy(adj)
-        _mg_delete(child, v)
-        consider(_fvs_solve(child, forbidden, allowance() - 1), v)
-        consider(_fvs_solve(adj, forbidden | {v}, allowance()))
-
-    if best is None:
+        # Branch on both ends of a doubled edge, or on deleting or
+        # forbidding a maximum-degree vertex.  Each child gets a copy of
+        # ``adj`` except the last, which consumes it.  A child returns at
+        # most its cap, so every result found improves on ``res``.
+        pair = _mg_double_edge(adj)
+        if pair is not None:
+            options = [(x, True) for x in pair if x not in forbidden]
+        else:
+            free = sorted(v for v in adj if v not in forbidden)
+            if not free:
+                return None
+            v = max(free, key=lambda x: _mg_degree(adj, x))
+            options = [(v, True), (v, False)]
+        res = None
+        for i, (v, delete) in enumerate(options):
+            child = adj if i == len(options) - 1 else _mg_copy(adj)
+            limit = rem if res is None else res[0] - 1
+            if delete:
+                _mg_delete(child, v)
+                sub = _fvs_solve(child, forbidden, limit - 1)
+                if sub is not None:
+                    res = (sub[0] + 1, sub[1] | {v})
+            else:
+                sub = _fvs_solve(child, forbidden | {v}, limit)
+                if sub is not None:
+                    res = sub
+    if res is None:
         return None
-    return total + best[0], picks | best[1]
+    return len(forced) + res[0], forced | res[1]
 
 
 def feedback_vertex_set(g: Graph, budget: int | None = None):
@@ -655,29 +637,31 @@ def _oct_decide(g, alive: frozenset[int], k: int, visited) -> set[int] | None:
     return None
 
 
+def hitting_number(g: Graph, fam: HitFamily) -> int:
+    """The size of a minimum transversal."""
+    res = min_transversal(g, fam)
+    if res is None:
+        raise RuntimeError("unbudgeted min_transversal found no transversal")
+    return res[0]
+
+
+def first_dropping_edge(g: Graph, fam: HitFamily, edges, tau: int) -> Edge | None:
+    """The first edge of ``edges`` whose contraction brings the hitting
+    number below ``tau``, or None.  A pair that is not an edge of g raises
+    ValueError before any quotient is solved; with tau = 0 no edge drops."""
+    for e in edges:
+        quotient = contract_set(g, [e]).quotient
+        if min_transversal(quotient, fam, budget=tau - 1) is not None:
+            return e
+    return None
+
+
 def drop_given_edge(g: Graph, e, fam: HitFamily) -> bool:
     """Does contracting this one edge lower the hitting number?"""
-    base = min_transversal(g, fam)
-    if base is None:
-        raise RuntimeError("unbudgeted min_transversal found no transversal")
-    size = base[0]
-    if size == 0:
-        return False
-    quotient = contract_set(g, [tuple(e)]).quotient
-    return min_transversal(quotient, fam, budget=size - 1) is not None
+    return first_dropping_edge(g, fam, [e], hitting_number(g, fam)) is not None
 
 
 def find_dropping_edge(g: Graph, fam: HitFamily) -> Edge | None:
     """Lexicographically first edge whose contraction lowers the hitting
     number, or None when no edge does."""
-    base = min_transversal(g, fam)
-    if base is None:
-        raise RuntimeError("unbudgeted min_transversal found no transversal")
-    size = base[0]
-    if size == 0:
-        return None
-    for e in g.sorted_edges():
-        quotient = contract_set(g, [e]).quotient
-        if min_transversal(quotient, fam, budget=size - 1) is not None:
-            return e
-    return None
+    return first_dropping_edge(g, fam, g.sorted_edges(), hitting_number(g, fam))

@@ -18,6 +18,7 @@ C4 = "4 4\n0 1\n1 2\n2 3\n0 3\n"
 C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 TREE = "5 4\n0 1\n0 2\n1 3\n1 4\n"
 PHI0 = "p cnf 2 3\n1 2 0\n1 -2 0\n-1 2 0\n"
+UNSAT4 = "p cnf 4 6\n-3 -4 0\n-3 4 0\n-1 3 0\n1 -2 0\n1 2 0\n2 4 0\n"  # first unsatisfiable clean n = 4
 
 
 @pytest.fixture
@@ -234,6 +235,15 @@ class TestErrors:
         assert main(["blocker-edge", files["p4.gr"], "-e", "0,3", "--family", "vc"]) == 2
 
 
+def test_sample_edges_and_full_scan_exclude_each_other(files, capsys):
+    argv = ["verify-claims", files["phi0.cnf"], "--theorem", "1", "--sample-edges", "3", "--full-scan"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 class TestValueErrorsExitTwo:
     """Library ValueErrors reach ``main`` unwrapped: one ``error:`` line on
     stderr, nothing on stdout, exit code 2."""
@@ -261,6 +271,26 @@ class TestValueErrorsExitTwo:
         argv = ["blocker-edge", files["p4.gr"], "-e", "0,3", "--family", "vc"]
         self.check(capsys, argv, "edge (0, 3) not in graph")
 
+    @pytest.mark.parametrize("edge", ["0,3", "0,9"])
+    def test_blocker_edge_on_non_edge_with_zero_hitting_number(self, files, capsys, edge):
+        # P4 has no cycle, so the hitting number is 0; the edge is checked anyway
+        argv = ["blocker-edge", files["p4.gr"], "-e", edge, "--family", "fvs"]
+        self.check(capsys, argv, f"edge ({edge.replace(',', ', ')}) not in graph")
+
+    @pytest.mark.parametrize("text,message", [
+        ("p cnf x 2\n1 2 0\n", "non-integer header field 'x'"),
+        ("p cnf 2 3\n1 2 0\n1 y 0\n-1 2 0\n", "non-integer literal 'y'"),
+    ])
+    def test_cnf_parse_error_names_the_file(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.cnf"
+        bad.write_text(text)
+        self.check(capsys, ["verify-claims", str(bad), "--theorem", "1"], f"{bad}: {message}")
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_edges_below_one(self, files, capsys, count):
+        argv = ["verify-claims", files["phi0.cnf"], "--theorem", "1", "--sample-edges", count]
+        self.check(capsys, argv, f"sample size must be at least 1, got {count}")
+
     @pytest.mark.parametrize("flags", [[], ["--approx"], ["--paper-convention"],
                                        ["--approx", "--paper-convention"]])
     def test_min_contract_zero_drop(self, tmp_path, capsys, flags):
@@ -280,6 +310,8 @@ BYTE_IDENTITY_GRAPHS = {
                    "5 7\n7 9\n6 9\n6 8\n5 8\n",
     "g30.gr": serialize_graph(random_graph(random.Random(30), 30, 0.15)),  # not bipartite
     "grid4x4.gr": serialize_graph(grid_graph(4, 4)),
+    "c4.gr": C4,
+    "unsat4.cnf": UNSAT4,
 }
 
 BYTE_IDENTITY_COMMANDS = [
@@ -296,6 +328,10 @@ BYTE_IDENTITY_COMMANDS = [
     ["tau", "petersen.gr", "--family", "oct"],
     ["verify-claims", "phi0.cnf", "--theorem", "1"],
     ["vc", "g30.gr"],  # the cover search's matching bound walks set order
+    ["verify-claims", "unsat4.cnf", "--theorem", "1"],  # claim 3
+    ["tau", "petersen.gr", "--family", "fvs"],
+    ["tau", "petersen.gr", "--family", "pattern:c4.gr", "--relation", "minor"],
+    ["blocker-edge", "two_k3.gr", "-e", "0,1", "--family", "fvs"],
 ]
 
 

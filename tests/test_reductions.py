@@ -27,7 +27,7 @@ from contrablock.reductions import (
     validate_clean,
     verify_claims,
 )
-from contrablock.transversal import feedback_vertex_set
+from contrablock.transversal import HitFamily, feedback_vertex_set, find_dropping_edge
 
 PHI0 = clean_formula(2, [(1, 2), (1, -2), (-1, 2)])
 
@@ -70,6 +70,14 @@ class TestCleanValidation:
     def test_parse_cnf_rejects_bad_header(self):
         with pytest.raises(CleanFormulaError):
             parse_cnf("p cnf 2\n1 2 0\n")
+
+    def test_parse_cnf_rejects_non_integers(self):
+        with pytest.raises(CleanFormulaError, match="non-integer header field 'x'"):
+            parse_cnf("p cnf x 2\n1 2 0\n")
+        with pytest.raises(CleanFormulaError, match="non-integer header field '3.0'"):
+            parse_cnf("p cnf 2 3.0\n1 2 0\n")
+        with pytest.raises(CleanFormulaError, match="non-integer literal 'y'"):
+            parse_cnf("p cnf 2 3\n1 2 0\n1 y 0\n-1 2 0\n")
 
     def test_sat_example(self):
         assert brute_force_sat(PHI0) == (True, True)
@@ -309,6 +317,23 @@ class TestVerifyClaims:
         report = verify_claims(inst, sample_edges=10)
         assert report.claim2 == "pass" and report.scan_mode.startswith("sample:")
         assert report.scanned_edges <= 10
+
+    def test_claim_three_above_the_threshold(self):
+        unsat = next(phi for phi in enumerate_clean_formulas(4) if brute_force_sat(phi) is None)
+        inst = build_double_copy_instance(unsat, cycle_graph(4), 0, 2)
+        report = verify_claims(inst)
+        assert not report.sat and report.tau > report.threshold
+        assert report.claim1 == "pass" and report.claim3 == "pass"
+        assert report.claim2 == "not-applicable"
+        assert report.scan_mode == "none" and report.scanned_edges == 0
+        assert report.dropping_edge == find_dropping_edge(inst.graph, HitFamily.feedback_vertex_set())
+        assert report.dropping_edge is not None
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_edges_below_one(self, count):
+        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_claims(inst, sample_edges=count)
 
     def test_default_family_selection(self):
         assert default_family(build_double_copy_instance(PHI0, cycle_graph(4))).patterns == "all-cycles"

@@ -1,6 +1,8 @@
 """Rules checked on the library source itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import contrablock
@@ -21,3 +23,37 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, "assert statements in the library: " + ", ".join(found)
+
+
+def _bench_names(*targets: str) -> list[str]:
+    """The string tuples that ``bench/run.py`` assigns to ``targets``, read
+    without importing the benchmark."""
+    tree = ast.parse((SRC.parents[1] / "bench" / "run.py").read_text(encoding="utf-8"))
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in targets for t in node.targets
+        ):
+            names += ast.literal_eval(node.value)
+    return names
+
+
+def test_benchmark_traced_names_exist():
+    # the traced benchmark wraps every public function, or public static
+    # method, by name and reads its counters back by the names it lists; a
+    # name that no longer exists fails ``bench/run.py --trace 1`` with KeyError
+    names = _bench_names("TRACED_FUNCTIONS", "BUILDERS")
+    assert len(names) >= 20
+    missing = []
+    for name in names:
+        module_name, *path = name.split(".")
+        module = importlib.import_module(f"contrablock.{module_name}")
+        if len(path) == 1:
+            obj = vars(module).get(path[0])
+            ok = inspect.isfunction(obj) and (obj.__module__, obj.__qualname__) == (module.__name__, path[0])
+        else:
+            owner = vars(module).get(path[0])
+            ok = inspect.isclass(owner) and isinstance(vars(owner).get(path[1]), staticmethod)
+        if not ok or any(part.startswith("_") for part in path):
+            missing.append(name)
+    assert not missing, "traced names missing from the library: " + ", ".join(missing)
