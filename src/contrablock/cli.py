@@ -65,7 +65,10 @@ _RELATIONS = {
 def _cmd_vc(args) -> int:
     g = _load_graph(args.graph)
     if args.modulator is not None:
-        mod = [int(t) for t in args.modulator.split(",") if t]
+        try:
+            mod = [int(t) for t in args.modulator.split(",") if t]
+        except ValueError:
+            raise InputError(f"bad modulator {args.modulator!r}, expected V,V,...") from None
         res = vertex_cover.vc_with_modulator(g, mod)
     elif args.bipartite:
         res = vertex_cover.vc_bipartite(g)
@@ -112,6 +115,8 @@ def _cmd_contract_vc(args) -> int:
 
 
 def _cmd_min_contract_vc(args) -> int:
+    if args.cap is not None and not args.brute:
+        raise InputError("--cap needs --brute")
     g = _load_graph(args.graph)
     if args.brute:
         cap = args.cap if args.cap is not None else g.m
@@ -234,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("min-contract-vc", help="minimum contractions for a cover drop of d")
     p.add_argument("graph")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--approx", action="store_true", help="factor-2 estimate")
-    p.add_argument("--brute", action="store_true", help="exhaustive oracle")
+    method = p.add_mutually_exclusive_group()
+    method.add_argument("--approx", action="store_true", help="factor-2 estimate")
+    method.add_argument("--brute", action="store_true", help="exhaustive oracle")
     p.add_argument("--cap", type=int, help="edge budget for --brute")
     p.add_argument("--paper-convention", action="store_true",
                    help="treat a full component collapse as unattainable")

@@ -89,168 +89,156 @@ class Occurrence:
     mapping: tuple
 
 
+def _depth_first(root, children):
+    """Every node of the search tree below ``root``, root included, in
+    depth-first preorder with children in the order ``children(node)``
+    yields them.  The stack holds one iterator per open node, so the depth
+    of the tree is not bounded by the recursion limit; a child is expanded
+    only once the caller asks for the node after it."""
+    yield root
+    stack = [iter(children(root))]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            stack.append(iter(children(node)))
+            break
+        else:
+            stack.pop()
+
+
+def _first_of_length(root, children, length: int):
+    """The first node of the search tree that has ``length`` entries, or None."""
+    for node in _depth_first(root, children):
+        if len(node) == length:
+            return node
+    return None
+
+
 def _pattern_order(h: Graph) -> list[int]:
     """BFS order, so each vertex after the first root touches an earlier one."""
     return list(bfs(h.adj, range(h.n)))
 
 
+def _earlier_neighbours(h: Graph, order: list[int]) -> list[list[int]]:
+    """For each position of ``order``, the earlier positions that hold a
+    neighbour of its pattern vertex."""
+    return [[j for j in range(i) if order[j] in h.adj[pv]] for i, pv in enumerate(order)]
+
+
 def _subgraph_occ(g: Graph, h: Graph, induced: bool, allowed) -> tuple[int, ...] | None:
+    """A node is the tuple of host images of the pattern vertices, in BFS
+    order, placed so far."""
     hosts = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
     order = _pattern_order(h)
-    image: dict[int, int] = {}
-    used: set[int] = set()
+    linked = _earlier_neighbours(h, order)
 
-    def degree_in(v: int) -> int:
-        return len(g.adj[v] & hosts)
-
-    def place(i: int) -> bool:
+    def children(node):
+        i = len(node)
         if i == len(order):
-            return True
-        pv = order[i]
-        anchors = [image[q] for q in h.adj[pv] if q in image]
-        candidates = sorted(g.adj[anchors[0]] & hosts) if anchors else sorted(hosts)
-        for hv in candidates:
-            if hv in used or degree_in(hv) < h.degree(pv):
-                continue
-            ok = True
-            for q, iq in image.items():
-                adjacent = hv in g.adj[iq]
-                if q in h.adj[pv]:
-                    if not adjacent:
-                        ok = False
-                        break
-                elif induced and adjacent:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[pv] = hv
-            used.add(hv)
-            if place(i + 1):
-                return True
-            del image[pv]
-            used.remove(hv)
-        return False
+            return
+        need = h.degree(order[i])
+        apart = [node[j] for j in range(i) if j not in linked[i]] if induced else ()
+        for hv in sorted(hosts.intersection(*(g.adj[node[j]] for j in linked[i])).difference(node)):
+            near = g.adj[hv]
+            if len(near & hosts) >= need and near.isdisjoint(apart):
+                yield node + (hv,)
 
-    if place(0):
-        return tuple(image[v] for v in range(h.n))
-    return None
+    images = _first_of_length((), children, len(order))
+    return None if images is None else tuple(images[order.index(v)] for v in range(h.n))
 
 
 def _connected_sets(g: Graph, free: frozenset[int], max_size: int):
-    """Every connected subset of ``free`` exactly once, smallest-root first."""
+    """Every connected subset of ``free`` with at most ``max_size`` vertices,
+    exactly once, smallest-root first.  A node is (current, ext, banned): the
+    set grown so far, the vertices it may still add, in order, and the
+    vertices that earlier siblings added, which this subtree must not add
+    again.  Every vertex of a root's subtree lies in ``pool``, the free
+    vertices above the root."""
+
+    def grow(node):
+        current, ext, banned = node
+        if len(current) >= max_size:
+            return
+        for idx, v in enumerate(ext):
+            new_banned = banned | frozenset(ext[:idx])
+            fresh = sorted(
+                w
+                for w in g.adj[v]
+                if w in pool and w not in current and w not in new_banned and w not in ext
+            )
+            yield current | {v}, ext[idx + 1 :] + tuple(fresh), new_banned
+
     if max_size < 1:
         return
     for root in sorted(free):
         pool = frozenset(x for x in free if x > root)
-        yield from _grow_set(g, frozenset([root]), sorted(g.adj[root] & pool), frozenset(), pool, max_size)
-
-
-def _grow_set(g, current, ext, banned, pool, max_size):
-    yield current
-    if len(current) >= max_size:
-        return
-    for idx, v in enumerate(ext):
-        new_banned = banned | frozenset(ext[:idx])
-        fresh = sorted(
-            w
-            for w in g.adj[v]
-            if w in pool and w not in current and w not in new_banned and w not in ext
-        )
-        yield from _grow_set(g, current | {v}, ext[idx + 1 :] + fresh, new_banned, pool, max_size)
+        start = (frozenset([root]), tuple(sorted(g.adj[root] & pool)), frozenset())
+        for current, _, _ in _depth_first(start, grow):
+            yield current
 
 
 def _minor_occ(g: Graph, h: Graph, allowed) -> tuple[frozenset[int], ...] | None:
+    """A node is the tuple of branch sets of the pattern vertices, in BFS
+    order, placed so far."""
     hosts = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
     if h.n > len(hosts):
         return None
     order = _pattern_order(h)
-    sets: dict[int, frozenset[int]] = {}
-    used: set[int] = set()
+    linked = _earlier_neighbours(h, order)
 
-    def place(i: int) -> bool:
+    def children(node):
+        i = len(node)
         if i == len(order):
-            return True
-        pv = order[i]
-        earlier = [q for q in h.adj[pv] if q in sets]
-        free = hosts - used
-        max_size = len(free) - (len(order) - i - 1)
-        for branch in _connected_sets(g, frozenset(free), max_size):
-            if all(any(g.adj[x] & sets[q] for x in branch) for q in earlier):
-                sets[pv] = branch
-                used.update(branch)
-                if place(i + 1):
-                    return True
-                del sets[pv]
-                used.difference_update(branch)
-        return False
+            return
+        free = hosts.difference(*node)
+        for branch in _connected_sets(g, free, len(free) - (len(order) - i - 1)):
+            if all(any(g.adj[x] & node[j] for x in branch) for j in linked[i]):
+                yield node + (branch,)
 
-    if place(0):
-        return tuple(sets[v] for v in range(h.n))
-    return None
+    sets = _first_of_length((), children, len(order))
+    return None if sets is None else tuple(sets[order.index(v)] for v in range(h.n))
 
 
 def _simple_paths(g: Graph, a: int, b: int, blocked: frozenset[int], hosts: frozenset[int]):
-    """Simple a..b paths whose internal vertices avoid ``blocked``."""
+    """Simple a..b paths whose internal vertices avoid ``blocked``, as
+    tuples; a node is the path walked so far."""
 
-    path = [a]
-    on_path = {a}
+    def step(path):
+        if path[-1] == b:
+            return
+        for w in sorted(g.adj[path[-1]]):
+            if w == b or (w not in path and w not in blocked and w in hosts):
+                yield path + (w,)
 
-    def walk(v: int):
-        for w in sorted(g.adj[v]):
-            if w == b:
-                yield path + [b]
-                continue
-            if w in on_path or w in blocked or w not in hosts:
-                continue
-            path.append(w)
-            on_path.add(w)
-            yield from walk(w)
-            path.pop()
-            on_path.remove(w)
-
-    yield from walk(a)
+    return (path for path in _depth_first((a,), step) if path[-1] == b)
 
 
 def _topo_occ(g: Graph, h: Graph, allowed):
+    """A node holds the branch vertices of pattern vertices 0, 1, ... placed
+    so far; once all ``h.n`` are placed, one host path per pattern edge
+    follows, in sorted edge order."""
     hosts = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
     if h.n > len(hosts):
         return None
     pedges = h.sorted_edges()
-    branch: dict[int, int] = {}
 
-    def place(i: int):
-        if i == h.n:
-            return route(0, frozenset(), ())
-        for hv in sorted(hosts):
-            if hv in branch.values():
-                continue
-            if len(g.adj[hv] & hosts) < h.degree(i):
-                continue
-            branch[i] = hv
-            res = place(i + 1)
-            if res is not None:
-                return res
-            del branch[i]
-        return None
+    def children(node):
+        i = len(node)
+        if i < h.n:
+            for hv in sorted(hosts):
+                if hv not in node and len(g.adj[hv] & hosts) >= h.degree(i):
+                    yield node + (hv,)
+            return
+        if i == h.n + len(pedges):
+            return
+        branches = node[: h.n]
+        a, b = pedges[i - h.n]
+        blocked = frozenset(branches).union(*(p[1:-1] for p in node[h.n :])) - {branches[a], branches[b]}
+        for path in _simple_paths(g, branches[a], branches[b], blocked, hosts):
+            yield node + (path,)
 
-    def route(j: int, internals: frozenset[int], paths: tuple):
-        if j == len(pedges):
-            return paths
-        a, b = pedges[j]
-        blocked = frozenset(branch.values()) - {branch[a], branch[b]}
-        for path in _simple_paths(g, branch[a], branch[b], blocked | internals, hosts):
-            inner = frozenset(path[1:-1])
-            res = route(j + 1, internals | inner, paths + (tuple(path),))
-            if res is not None:
-                return res
-        return None
-
-    paths = place(0)
-    if paths is None:
-        return None
-    branches = tuple(branch[v] for v in range(h.n))
-    return branches, paths
+    found = _first_of_length((), children, h.n + len(pedges))
+    return None if found is None else (found[: h.n], found[h.n :])
 
 
 def contains(g: Graph, h: Graph, relation: str, allowed=None) -> Occurrence | None:

@@ -106,6 +106,18 @@ class TestVcAndTau:
         code, out = run(capsys, ["contract-vc", str(path), "-k", "1", "-d", "1"])
         assert code == 0 and out == "YES\n"
 
+    @pytest.mark.parametrize("relation", ["topo", "minor"])
+    def test_long_cycle_pattern_search_has_no_recursion_limit(self, tmp_path, capsys, relation):
+        # the first K3 model in C1500 routes a path, or grows a branch set,
+        # around the whole cycle
+        cycle = tmp_path / "c1500.gr"
+        cycle.write_text("1500 1500\n" + "".join(f"{i} {(i + 1) % 1500}\n" for i in range(1500)))
+        k3 = tmp_path / "k3.gr"
+        k3.write_text("3 3\n0 1\n1 2\n0 2\n")
+        code = main(["tau", str(cycle), "--family", f"pattern:{k3}", "--relation", relation, "--budget", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", "budget exceeded: hitting number exceeds budget 0\n")
+
     def test_tau_fvs_on_tree(self, files, capsys):
         code, out = run(capsys, ["tau", files["tree.gr"], "--family", "fvs"])
         assert code == 0 and out == "0\n"
@@ -298,6 +310,19 @@ class TestValueErrorsExitTwo:
         edgeless.write_text("3 0\n")
         self.check(capsys, ["min-contract-vc", str(edgeless), "-d", "0", *flags],
                    "drop must be positive")
+
+    def test_cap_without_brute(self, files, capsys):
+        self.check(capsys, ["min-contract-vc", files["c5.gr"], "-d", "1", "--cap", "0"], "--cap needs --brute")
+
+    def test_approx_and_brute_exclude_each_other(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["min-contract-vc", files["c5.gr"], "-d", "1", "--approx", "--brute"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --brute: not allowed with argument --approx" in captured.err
+
+    def test_bad_modulator_names_the_flag(self, files, capsys):
+        self.check(capsys, ["vc", files["c5.gr"], "--modulator", "0,x"], "bad modulator '0,x', expected V,V,...")
 
 
 BYTE_IDENTITY_GRAPHS = {

@@ -57,3 +57,47 @@ def test_benchmark_traced_names_exist():
         if not ok or any(part.startswith("_") for part in path):
             missing.append(name)
     assert not missing, "traced names missing from the library: " + ", ".join(missing)
+
+
+# searches whose recursion depth is bounded by a budget; every other function
+# keeps an explicit stack, so no input size reaches the recursion limit
+RECURSION_ALLOWED = {
+    "vertex_cover._decide_cover",
+    "bipartite_contraction._bc_search",
+    "transversal._oct_decide",
+    "transversal._fvs_solve",
+    "reductions.enumerate_clean_formulas.var_sets.rec",
+}
+
+
+def _functions(node, prefix: str):
+    """(qualified name, node) for every function below ``node``; nested
+    functions and methods are named ``outer.inner``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_no_direct_recursion():
+    found = []
+    recursive = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, func in _functions(tree, f"{path.stem}."):
+            calls = [
+                node.lineno
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == func.name
+            ]
+            if calls:
+                recursive.add(name)
+            if calls and name not in RECURSION_ALLOWED:
+                found += [f"{path.relative_to(SRC.parent)}:{line} {name}" for line in calls]
+    assert not found, "functions that call themselves: " + ", ".join(found)
+    stale = RECURSION_ALLOWED - recursive
+    assert not stale, "allowed recursion no longer present: " + ", ".join(sorted(stale))
