@@ -23,8 +23,6 @@ from .graphs import (
     is_connected,
 )
 from .vertex_cover import (
-    vc_after_contraction,
-    vc_bipartite,
     vc_branching,
     vc_with_modulator,
     vc_with_modulator_fits,
@@ -92,14 +90,13 @@ def _spanning_forest_witness(g: Graph, d: int) -> tuple[Edge, ...]:
 
 def contraction_vc_1(g: Graph) -> Decision:
     """Exact answer for one contraction / drop one.  Non-bipartite graphs are
-    immediate yes-instances; bipartite ones are settled by scanning every
-    edge with the contracted-cover formula."""
+    immediate yes-instances; bipartite ones are settled by the enumeration,
+    whose modulator is the merged vertex of each edge."""
     if bipartition(g) is None:
         return Decision(True, lambda: _spanning_forest_witness(g, 1), "bc-large")
-    base = vc_bipartite(g).size
-    for e in g.sorted_edges():
-        if vc_after_contraction(g, e) < base:
-            return Decision(True, (e,), "enumeration-yes")
+    witness = _enumerate(g, 1, 1, ())
+    if witness is not None:
+        return Decision(True, witness, "enumeration-yes")
     return Decision(False, None, "enumeration-no")
 
 

@@ -251,22 +251,18 @@ def bipartition(g: Graph, allowed=None) -> tuple[list[int], list[int]] | None:
     return left, right
 
 
-def _cut_to_simple_odd_cycle(walk: list[int]) -> list[int]:
-    # Closed odd walk -> simple odd cycle contained in it.
-    while True:
-        pos: dict[int, int] = {}
-        split = None
-        for i, v in enumerate(walk):
-            if v in pos:
-                split = (pos[v], i)
-                break
-            pos[v] = i
-        if split is None:
-            return walk
-        i, j = split
-        inner = walk[i:j]
-        outer = walk[:i] + walk[j:]
-        walk = inner if len(inner) % 2 == 1 else outer
+def tree_cycle(parent: dict[int, int], v: int, w: int) -> list[int]:
+    """The cycle that the non-tree edge vw closes in the forest of a ``bfs``
+    parent map: their lowest common ancestor first, down the tree to v, then
+    from w back up to just below the ancestor."""
+    up = [v]
+    while parent[up[-1]] != -1:
+        up.append(parent[up[-1]])
+    ancestors = set(up)
+    back = [w]
+    while back[-1] not in ancestors:
+        back.append(parent[back[-1]])
+    return up[up.index(back[-1]) :: -1] + back[:-1]
 
 
 def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
@@ -291,18 +287,7 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
                     odd = True
                     length = dist[v] + dist[w] + 1
                     if best is None or length < best[0]:
-                        up, down = [], []
-                        x = v
-                        while x != -1:
-                            up.append(x)
-                            x = par[x]
-                        x = w
-                        while x != -1:
-                            down.append(x)
-                            x = par[x]
-                        # closed walk: s..v along the tree, edge vw, w..back to s
-                        walk = up[::-1] + down[:-1]
-                        cyc = _cut_to_simple_odd_cycle(walk)
+                        cyc = tree_cycle(par, v, w)
                         best = (len(cyc), cyc)
         if not odd:
             bipartite.update(par)  # no root of a bipartite component can close an odd cycle

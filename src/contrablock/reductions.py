@@ -9,8 +9,9 @@ and the edge-contraction behavior around it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .graphs import (
     Edge,
@@ -155,38 +156,15 @@ def enumerate_clean_formulas(n: int):
             sizes.append((threes, rest // 2))
 
     variables = list(range(1, n + 1))
+    degree3 = Counter({v: 3 for v in variables})
     seen: set[tuple[Clause, ...]] = set()
 
     def var_sets(threes: int, twos: int):
         """Non-decreasing clause var-set sequences with every degree 3."""
-        pool = [tuple(c) for c in combinations(variables, 3)] if threes else []
-        pool2 = [tuple(c) for c in combinations(variables, 2)]
-
-        def rec(seq, remaining3, remaining2, degrees, last3, last2):
-            if remaining3 == 0 and remaining2 == 0:
-                if all(d == 3 for d in degrees.values()):
-                    yield tuple(seq)
-                return
-            if remaining3:
-                for i in range(last3, len(pool)):
-                    cand = pool[i]
-                    if all(degrees[v] < 3 for v in cand):
-                        for v in cand:
-                            degrees[v] += 1
-                        yield from rec(seq + [cand], remaining3 - 1, remaining2, degrees, i, 0)
-                        for v in cand:
-                            degrees[v] -= 1
-            else:
-                for i in range(last2, len(pool2)):
-                    cand = pool2[i]
-                    if all(degrees[v] < 3 for v in cand):
-                        for v in cand:
-                            degrees[v] += 1
-                        yield from rec(seq + [cand], 0, remaining2 - 1, degrees, last3, i)
-                        for v in cand:
-                            degrees[v] -= 1
-
-        yield from rec([], threes, twos, {v: 0 for v in variables}, 0, 0)
+        for big in combinations_with_replacement(combinations(variables, 3), threes):
+            for small in combinations_with_replacement(combinations(variables, 2), twos):
+                if Counter(v for c in big + small for v in c) == degree3:
+                    yield big + small
 
     for threes, twos in sizes:
         for structure in var_sets(threes, twos):

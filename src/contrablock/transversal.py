@@ -22,6 +22,7 @@ from .graphs import (
     contract_set,
     is_connected,
     shortest_odd_cycle,
+    tree_cycle,
 )
 from .vertex_cover import vc_branching
 
@@ -125,10 +126,9 @@ def _earlier_neighbours(h: Graph, order: list[int]) -> list[list[int]]:
     return [[j for j in range(i) if order[j] in h.adj[pv]] for i, pv in enumerate(order)]
 
 
-def _subgraph_occ(g: Graph, h: Graph, induced: bool, allowed) -> tuple[int, ...] | None:
+def _subgraph_occ(g: Graph, h: Graph, induced: bool, hosts: frozenset[int]) -> tuple[int, ...] | None:
     """A node is the tuple of host images of the pattern vertices, in BFS
     order, placed so far."""
-    hosts = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
     order = _pattern_order(h)
     linked = _earlier_neighbours(h, order)
 
@@ -177,10 +177,9 @@ def _connected_sets(g: Graph, free: frozenset[int], max_size: int):
             yield current
 
 
-def _minor_occ(g: Graph, h: Graph, allowed) -> tuple[frozenset[int], ...] | None:
+def _minor_occ(g: Graph, h: Graph, hosts: frozenset[int]) -> tuple[frozenset[int], ...] | None:
     """A node is the tuple of branch sets of the pattern vertices, in BFS
     order, placed so far."""
-    hosts = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
     if h.n > len(hosts):
         return None
     order = _pattern_order(h)
@@ -213,11 +212,10 @@ def _simple_paths(g: Graph, a: int, b: int, blocked: frozenset[int], hosts: froz
     return (path for path in _depth_first((a,), step) if path[-1] == b)
 
 
-def _topo_occ(g: Graph, h: Graph, allowed):
+def _topo_occ(g: Graph, h: Graph, hosts: frozenset[int]):
     """A node holds the branch vertices of pattern vertices 0, 1, ... placed
     so far; once all ``h.n`` are placed, one host path per pattern edge
     follows, in sorted edge order."""
-    hosts = frozenset(range(g.n)) if allowed is None else frozenset(allowed)
     if h.n > len(hosts):
         return None
     pedges = h.sorted_edges()
@@ -248,18 +246,24 @@ def contains(g: Graph, h: Graph, relation: str, allowed=None) -> Occurrence | No
     ascending.  ``allowed`` restricts the host to an induced vertex subset.
     """
     relation = _check_relation(relation)
+    hosts = frozenset(range(g.n) if allowed is None else allowed)
+    if h.m >= h.n:
+        # every relation keeps a cycle of h, and a forest has none
+        edges = sum(len(g.adj[v] & hosts) for v in hosts) // 2
+        if edges == len(hosts) - len(components(g.adj, hosts)):
+            return None
     if relation in ("subgraph", "induced-subgraph"):
-        mapping = _subgraph_occ(g, h, relation == "induced-subgraph", allowed)
+        mapping = _subgraph_occ(g, h, relation == "induced-subgraph", hosts)
         if mapping is None:
             return None
         return Occurrence(relation, tuple(sorted(set(mapping))), mapping)
     if relation == "minor":
-        sets = _minor_occ(g, h, allowed)
+        sets = _minor_occ(g, h, hosts)
         if sets is None:
             return None
         verts = sorted(v for s in sets for v in s)
         return Occurrence(relation, tuple(verts), sets)
-    found = _topo_occ(g, h, allowed)
+    found = _topo_occ(g, h, hosts)
     if found is None:
         return None
     branches, paths = found
@@ -494,36 +498,16 @@ def _mg_double_edge(adj) -> tuple[int, int] | None:
 
 def _mg_find_cycle(adj) -> list[int] | None:
     """A cycle of a loop-free multigraph (``_mg_reduce`` removes every loop),
-    or None."""
+    or None: a doubled edge, else the cycle that the first non-tree edge
+    closes in a breadth-first forest."""
     pair = _mg_double_edge(adj)
     if pair is not None:
         return list(pair)
-    seen: set[int] = set()
-    for s in sorted(adj):
-        if s in seen:
-            continue
-        parent = {s: -1}
-        stack = [(s, -1)]
-        while stack:
-            v, par = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            parent[v] = par
-            for w in sorted(adj[v]):
-                if w == par:
-                    continue
-                if w in parent and w in seen:
-                    cycle = [v]
-                    x = v
-                    while x != w and parent[x] != -1:
-                        x = parent[x]
-                        cycle.append(x)
-                    if cycle[-1] == w:
-                        return cycle
-                    continue
-                if w not in seen:
-                    stack.append((w, v))
+    parent = bfs(adj, sorted(adj))
+    for v, p in parent.items():
+        for w in sorted(adj[v]):
+            if w != p and parent[w] != v:
+                return tree_cycle(parent, v, w)
     return None
 
 

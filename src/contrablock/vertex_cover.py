@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bipartition, contract_edge
+from .graphs import Graph, bfs, bipartition, contract_edge
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,13 @@ def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
     if len(matched) > 2 * budget:
         return None
 
+    # The first child gets a copy of ``adj``; the last consumes it.
     v = max(sorted(adj), key=lambda x: len(adj[x]))
-    for take in ([v], sorted(adj[v])):
+    options = ([v], sorted(adj[v]))
+    for i, take in enumerate(options):
         if len(take) > budget:
             continue
-        sub = {x: set(ns) for x, ns in adj.items()}
+        sub = adj if i == len(options) - 1 else {x: set(ns) for x, ns in adj.items()}
         _delete(sub, take)  # deleting N(v) leaves v isolated, so v goes too
         res = _decide_cover(sub, budget - len(take))
         if res is not None:
@@ -146,18 +148,9 @@ def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
 
     # Alternating reachability from unmatched left vertices: left->right via
     # non-matching edges, right->left via matching edges.
-    reach: set[int] = set(u for u in left if u not in match)
-    stack = sorted(reach)
-    while stack:
-        u = stack.pop()
-        for w in sorted(g.adj[u] & alive):
-            if u in lset:
-                if match.get(u) == w or w in reach:
-                    continue
-            elif match.get(u) != w or w in reach:
-                continue
-            reach.add(w)
-            stack.append(w)
+    alt = {u: (g.adj[u] & alive) - {match.get(u)} for u in left}
+    alt.update((w, [match[w]] if w in match else []) for w in right)
+    reach = bfs(alt, [u for u in left if u not in match])
 
     cover = sorted([v for v in left if v not in reach] + [v for v in right if v in reach])
     matched_pairs = sum(1 for v in match if v in lset)
@@ -226,15 +219,9 @@ def vc_with_modulator_fits(g: Graph, modulator, budget: int) -> bool:
 
 
 def vc_after_contraction(g: Graph, e) -> int:
-    """vc of g/e for bipartite g, via the merged-vertex case split:
+    """vc of g/e for bipartite g, via the two splits of the merged vertex w:
     min(1 + vc(G_e - w), |N(w)| + vc(G_e - N[w])), both parts bipartite."""
     if bipartition(g) is None:
         raise ValueError("graph is not bipartite")
     res = contract_edge(g, tuple(e))
-    ge = res.quotient
-    w = res.vmap[tuple(e)[0]]
-
-    verts = set(range(ge.n))
-    take_w = 1 + vc_bipartite(ge, verts - {w}).size
-    take_nbrs = len(ge.adj[w]) + vc_bipartite(ge, verts - ge.adj[w] - {w}).size
-    return min(take_w, take_nbrs)
+    return vc_with_modulator(res.quotient, [res.vmap[tuple(e)[0]]]).size

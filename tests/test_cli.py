@@ -152,6 +152,17 @@ class TestBcAndBlocker:
         code, out = run(capsys, ["blocker-edge", files["c4.gr"], "-e", "0,1", "--family", "vc"])
         assert code == 0 and out == "NO\n"
 
+    @pytest.mark.parametrize("relation", ["topo", "minor"])
+    def test_blocker_edge_cyclic_pattern_on_long_cycle(self, tmp_path, capsys, relation):
+        # C1500/e is still a cycle, and every branch of the hitting search
+        # deletes a vertex of it and asks for K3 in a path
+        cycle = tmp_path / "c1500.gr"
+        cycle.write_text("1500 1500\n" + "".join(f"{i} {(i + 1) % 1500}\n" for i in range(1500)))
+        k3 = tmp_path / "k3.gr"
+        k3.write_text("3 3\n0 1\n1 2\n0 2\n")
+        argv = ["blocker-edge", str(cycle), "-e", "0,1", "--family", f"pattern:{k3}", "--relation", relation]
+        assert run(capsys, argv) == (0, "NO\n")
+
 
 class TestMinContract:
     def test_exact(self, files, capsys):

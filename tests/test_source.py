@@ -66,7 +66,13 @@ RECURSION_ALLOWED = {
     "bipartite_contraction._bc_search",
     "transversal._oct_decide",
     "transversal._fvs_solve",
-    "reductions.enumerate_clean_formulas.var_sets.rec",
+}
+
+# cycles of more than one function in a module's call graph; this one is not
+# bounded by a budget: `tau p1500.gr --family pattern:k2.gr` still exits 1
+# with a RecursionError through both functions
+MUTUAL_RECURSION_ALLOWED = {
+    frozenset({"transversal._hit_solve", "transversal._hit_component"}),
 }
 
 
@@ -101,3 +107,58 @@ def test_no_direct_recursion():
     assert not found, "functions that call themselves: " + ", ".join(found)
     stale = RECURSION_ALLOWED - recursive
     assert not stale, "allowed recursion no longer present: " + ", ".join(sorted(stale))
+
+
+def _call_graph(tree: ast.Module, module: str) -> dict[str, set[str]]:
+    """Qualified function name -> the functions of the same module it calls
+    by bare name.  A name resolves to the innermost enclosing definition;
+    a call inside a nested function or a lambda also counts toward every
+    function that encloses it."""
+    graph: dict[str, set[str]] = {}
+
+    def defined(body, prefix: str) -> dict[str, str]:
+        return {c.name: prefix + c.name for c in body if isinstance(c, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    def visit(node, prefix: str, scope: dict[str, str], callers: list[str]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in scope:
+            for caller in callers:
+                graph[caller].add(scope[node.func.id])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + node.name
+            graph[name] = set()
+            prefix = name + "."
+            scope = {**scope, **defined(node.body, prefix)}
+            callers = callers + [name]
+        elif isinstance(node, ast.ClassDef):
+            prefix += node.name + "."  # class attributes are not in scope in methods
+        for child in ast.iter_child_nodes(node):
+            visit(child, prefix, scope, callers)
+
+    visit(tree, module + ".", defined(tree.body, module + "."), [])
+    return graph
+
+
+def _cycles(graph: dict[str, set[str]]) -> set[frozenset[str]]:
+    """The groups of functions that reach one another through calls, for
+    every function that reaches itself."""
+    reach = {}
+    for f in graph:
+        seen: set[str] = set()
+        stack = [f]
+        while stack:
+            for g in graph[stack.pop()] - seen:
+                seen.add(g)
+                stack.append(g)
+        reach[f] = seen
+    return {frozenset(g for g in reach[f] if f in reach[g]) for f in graph if f in reach[f]}
+
+
+def test_no_mutual_recursion():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found |= _cycles(_call_graph(tree, path.stem))
+    allowed = {frozenset({name}) for name in RECURSION_ALLOWED} | MUTUAL_RECURSION_ALLOWED
+    assert not found - allowed, f"recursive call cycles: {sorted(map(sorted, found - allowed))}"
+    stale = allowed - found
+    assert not stale, f"allowed recursion no longer present: {sorted(map(sorted, stale))}"

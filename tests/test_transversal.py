@@ -80,6 +80,13 @@ class TestContains:
         assert contains(complete_graph(3), path_graph(3), "subgraph") is not None
         assert contains(complete_graph(3), path_graph(3), "induced-subgraph") is None
 
+    @pytest.mark.parametrize("relation", ["subgraph", "induced-subgraph", "minor", "topological-minor"])
+    def test_cyclic_pattern_in_a_forest(self, relation):
+        # a path of 50 holds about 50^4 topological K3 candidates to refute
+        assert contains(path_graph(50), complete_graph(3), relation) is None
+        assert contains(cycle_graph(50), complete_graph(3), relation, allowed=range(1, 50)) is None
+        assert (contains(cycle_graph(50), complete_graph(3), relation) is None) == relation.endswith("subgraph")
+
     def test_minor_model_is_valid(self):
         from contrablock.graphs import connected_components, induced_subgraph
 

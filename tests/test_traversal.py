@@ -17,7 +17,6 @@ from contrablock.bipartite_contraction import coloring_to_contraction, monochrom
 from contrablock.contraction_vc import _component_opt, _spanning_forest_witness, algorithm1
 from contrablock.graphs import (
     Graph,
-    _cut_to_simple_odd_cycle,
     bfs,
     components,
     connected_components,
@@ -25,16 +24,19 @@ from contrablock.graphs import (
     is_connected,
     is_two_connected,
     shortest_odd_cycle,
+    tree_cycle,
 )
 from contrablock.transversal import (
     _alive_components,
     _mg_components,
+    _mg_find_cycle,
     _mg_reduce,
     _pattern_order,
 )
 from contrablock.vertex_cover import vc_branching
 
 from .conftest import random_graph
+from .test_hitting_once import _reference_mg_find_cycle
 
 
 def _reference_connected_components(g: Graph) -> list[list[int]]:
@@ -55,6 +57,24 @@ def _reference_connected_components(g: Graph) -> list[list[int]]:
                     queue.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def _reference_cut_to_simple_odd_cycle(walk: list[int]) -> list[int]:
+    # Closed odd walk -> simple odd cycle contained in it.
+    while True:
+        pos: dict[int, int] = {}
+        split = None
+        for i, v in enumerate(walk):
+            if v in pos:
+                split = (pos[v], i)
+                break
+            pos[v] = i
+        if split is None:
+            return walk
+        i, j = split
+        inner = walk[i:j]
+        outer = walk[:i] + walk[j:]
+        walk = inner if len(inner) % 2 == 1 else outer
 
 
 def _reference_shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
@@ -90,7 +110,7 @@ def _reference_shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
                             down.append(x)
                             x = par[x]
                         walk = up[::-1] + down[:-1]
-                        cyc = _cut_to_simple_odd_cycle(walk)
+                        cyc = _reference_cut_to_simple_odd_cycle(walk)
                         best = (len(cyc), cyc)
         if best is not None and best[0] == 3:
             break
@@ -317,6 +337,54 @@ class TestCallersMatchReplacedLoops:
                 assert (size, witness) == (len(tree), tuple(tree))
                 trees += 1
         assert bc_large >= 200 and trees >= 200
+
+
+def _cycle_edges(cycle: list[int]) -> list[frozenset[int]]:
+    return [frozenset((a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+class TestTreeCycles:
+    def test_tree_cycle_closes_each_non_tree_edge(self):
+        below_root = 0
+        for g, allowed, _ in _corpus(3009, 2000):
+            parent = bfs(g.adj, sorted(allowed), allowed)
+            tree = {frozenset((v, p)) for v, p in parent.items() if p != -1}
+            for v, w in g.edges:
+                if v not in parent or w not in parent or frozenset((v, w)) in tree:
+                    continue
+                cycle = tree_cycle(parent, v, w)
+                assert len(set(cycle)) == len(cycle) >= 3, (g, allowed, v, w)
+                edges = _cycle_edges(cycle)
+                assert len(set(edges)) == len(edges) and frozenset((v, w)) in edges
+                assert all(e in tree for e in edges if e != frozenset((v, w)))
+                # the ancestor comes first, and v's successor is w
+                assert cycle[cycle.index(v) + 1 - len(cycle)] == w
+                top = cycle[0]
+                for x in cycle[1:]:
+                    while x != top and x != -1:
+                        x = parent[x]
+                    assert x == top
+                below_root += parent[top] != -1
+        assert below_root >= 200
+
+    def test_mg_find_cycle_finds_a_cycle_of_the_multigraph(self):
+        rng = random.Random(3010)
+        found = forests = 0
+        for g, allowed, _ in _corpus(3011, 2000):
+            adj = _multigraph(rng, g)
+            adj = {v: {w: c for w, c in adj[v].items() if w in allowed and w != v} for v in allowed}
+            cycle = _mg_find_cycle(adj)
+            assert (cycle is None) == (_reference_mg_find_cycle(adj) is None), adj
+            if cycle is None:
+                forests += 1
+                continue
+            found += 1
+            assert len(set(cycle)) == len(cycle) >= 2
+            if len(cycle) == 2:
+                assert adj[cycle[0]][cycle[1]] >= 2
+            else:
+                assert all(adj[a].get(b, 0) >= 1 for a, b in map(tuple, _cycle_edges(cycle)))
+        assert found >= 200 and forests >= 200
 
 
 def _nx_graph(g: Graph, verts) -> nx.Graph:
