@@ -8,7 +8,7 @@ bc_decide searches for, returning the edge set itself.
 
 from __future__ import annotations
 
-from .graphs import Edge, Graph, bfs, bipartition, components, contract_set, shortest_odd_cycle
+from .graphs import Edge, Graph, bfs, bipartition, components, contract_set, shallowest, shortest_odd_cycle
 
 Coloring = tuple[int, ...]
 
@@ -60,44 +60,23 @@ def contraction_to_coloring(g: Graph, contracted) -> Coloring:
 def bc_decide(g: Graph, k: int) -> list[Edge] | None:
     """An edge set F with |F| <= k and g/F bipartite, or None.
 
-    Iterative deepening; each level branches on the original edges incident
-    to the classes of a shortest odd cycle of the current quotient.
-    Destroying every odd cycle requires contracting such an edge, so the
-    search is complete.
+    Iterative deepening over sets of chosen edges; a set's children add
+    each original edge between two classes, one of them on a shortest odd
+    cycle of the current quotient.  Destroying every odd cycle requires
+    contracting such an edge, so the search is complete.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
-    for depth in range(k + 1):
-        visited: set[frozenset[Edge]] = set()
-        found = _bc_search(g, (), depth, visited)
-        if found is not None:
-            return sorted(found)
-    return None
+    edges = g.sorted_edges()
 
+    def children(chosen):
+        res = contract_set(g, chosen)
+        on_cycle = set(shortest_odd_cycle(res.quotient))  # odd: it failed under a lower limit
+        for e in edges:
+            a, b = res.vmap[e[0]], res.vmap[e[1]]
+            if a != b and (a in on_cycle or b in on_cycle):  # a == b: inside one class, no change
+                yield chosen | {e}
 
-def _bc_search(
-    g: Graph, chosen: tuple[Edge, ...], slack: int, visited: set[frozenset[Edge]]
-) -> tuple[Edge, ...] | None:
-    key = frozenset(chosen)
-    if key in visited:
-        return None
-    visited.add(key)
-    res = contract_set(g, chosen)
-    cycle = shortest_odd_cycle(res.quotient)
-    if cycle is None:
-        return chosen
-    if slack == 0:
-        return None
-    on_cycle = set(cycle)
-    have = set(chosen)
-    for e in g.sorted_edges():
-        if e in have:
-            continue
-        a, b = res.vmap[e[0]], res.vmap[e[1]]
-        if a == b:
-            continue  # inside one class: contracting it cannot change the quotient
-        if a in on_cycle or b in on_cycle:
-            found = _bc_search(g, chosen + (e,), slack - 1, visited)
-            if found is not None:
-                return found
-    return None
+    found = shallowest(frozenset(), lambda chosen: bipartition(contract_set(g, chosen).quotient) is not None,
+                       children, k)
+    return None if found is None else sorted(found)

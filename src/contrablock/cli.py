@@ -213,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("vc", help="minimum vertex cover")
     p.add_argument("graph")
-    p.add_argument("--bipartite", action="store_true", help="use the matching-based solver")
-    p.add_argument("--modulator", help="comma-separated vertex list")
+    solver = p.add_mutually_exclusive_group()
+    solver.add_argument("--bipartite", action="store_true", help="use the matching-based solver")
+    solver.add_argument("--modulator", help="comma-separated vertex list")
     p.set_defaults(func=_cmd_vc)
 
     p = subs.add_parser("tau", help="minimum hitting set")

@@ -194,6 +194,50 @@ def bfs(adj, roots, allowed=None) -> dict[int, int]:
     return parent
 
 
+def depth_first(root, children):
+    """Every node of the search tree below ``root``, root included, in
+    depth-first preorder with children in the order ``children(node)``
+    yields them.  The stack holds one iterator per open node, so the depth
+    of the tree is not bounded by the recursion limit; a child is expanded
+    only once the caller asks for the node after it."""
+    yield root
+    stack = [iter(children(root))]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            stack.append(iter(children(node)))
+            break
+        else:
+            stack.pop()
+
+
+def shallowest(root, goal, children, hi: int):
+    """Depth-first iterative deepening: the first goal state in preorder
+    among the fewest ``children`` steps below ``root`` (at most ``hi``), or None.
+
+    Each limit 0..hi walks ``depth_first`` over (depth, state) nodes; it
+    expands only nodes above the limit, skips states already reached under
+    it, and tests ``goal`` only at the limit.  This is exact because a
+    state fixes its depth (``|chosen|`` in ``bc_decide``, ``n - |alive|``
+    in ``odd_cycle_transversal``) and every state above the limit already
+    failed ``goal`` under a lower one."""
+    for limit in range(hi + 1):
+        seen = {root}
+
+        def below(node):
+            depth, state = node
+            if depth < limit:
+                for child in children(state):
+                    if child not in seen:
+                        seen.add(child)
+                        yield depth + 1, child
+
+        for depth, state in depth_first((0, root), below):
+            if depth == limit and goal(state):
+                return state
+    return None
+
+
 def components(adj, verts) -> list[list[int]]:
     """Components of the subgraph induced by ``verts``, as sorted vertex
     lists ordered by their minimum vertex.  The search is an unsorted
@@ -304,11 +348,6 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     return Graph.from_edges(len(old), edges), old
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return Graph.from_edges(a.n + b.n, edges)
-
-
 def path_graph(k: int) -> Graph:
     return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
 
@@ -321,10 +360,6 @@ def cycle_graph(k: int) -> Graph:
 
 def complete_graph(k: int) -> Graph:
     return Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def subdivide_edges(g: Graph) -> Graph:

@@ -127,12 +127,6 @@ def parse_cnf(text: str) -> CleanFormula:
     return clean_formula(n, clauses)
 
 
-def serialize_cnf(phi: CleanFormula) -> str:
-    lines = [f"p cnf {phi.n} {phi.m}"]
-    lines.extend(" ".join(str(l) for l in c) + " 0" for c in phi.clauses)
-    return "\n".join(lines) + "\n"
-
-
 def brute_force_sat(phi: CleanFormula) -> tuple[bool, ...] | None:
     """First satisfying assignment in mask order, or None."""
     for mask in range(1 << phi.n):
@@ -148,7 +142,9 @@ def brute_force_sat(phi: CleanFormula) -> tuple[bool, ...] | None:
 
 
 def enumerate_clean_formulas(n: int):
-    """Every clean formula on n variables, one per clause multiset."""
+    """Every clean formula on n variables, one per clause multiset; none for n < 1."""
+    if n < 1:
+        return
     sizes = []
     for threes in range(n + 1):
         rest = 3 * n - 3 * threes

@@ -18,9 +18,12 @@ from .graphs import (
     Edge,
     Graph,
     bfs,
+    bipartition,
     components,
     contract_set,
+    depth_first,
     is_connected,
+    shallowest,
     shortest_odd_cycle,
     tree_cycle,
 )
@@ -90,26 +93,9 @@ class Occurrence:
     mapping: tuple
 
 
-def _depth_first(root, children):
-    """Every node of the search tree below ``root``, root included, in
-    depth-first preorder with children in the order ``children(node)``
-    yields them.  The stack holds one iterator per open node, so the depth
-    of the tree is not bounded by the recursion limit; a child is expanded
-    only once the caller asks for the node after it."""
-    yield root
-    stack = [iter(children(root))]
-    while stack:
-        for node in stack[-1]:
-            yield node
-            stack.append(iter(children(node)))
-            break
-        else:
-            stack.pop()
-
-
 def _first_of_length(root, children, length: int):
     """The first node of the search tree that has ``length`` entries, or None."""
-    for node in _depth_first(root, children):
+    for node in depth_first(root, children):
         if len(node) == length:
             return node
     return None
@@ -173,7 +159,7 @@ def _connected_sets(g: Graph, free: frozenset[int], max_size: int):
     for root in sorted(free):
         pool = frozenset(x for x in free if x > root)
         start = (frozenset([root]), tuple(sorted(g.adj[root] & pool)), frozenset())
-        for current, _, _ in _depth_first(start, grow):
+        for current, _, _ in depth_first(start, grow):
             yield current
 
 
@@ -209,7 +195,7 @@ def _simple_paths(g: Graph, a: int, b: int, blocked: frozenset[int], hosts: froz
             if w == b or (w not in path and w not in blocked and w in hosts):
                 yield path + (w,)
 
-    return (path for path in _depth_first((a,), step) if path[-1] == b)
+    return (path for path in depth_first((a,), step) if path[-1] == b)
 
 
 def _topo_occ(g: Graph, h: Graph, hosts: frozenset[int]):
@@ -585,28 +571,14 @@ def feedback_vertex_set(g: Graph, budget: int | None = None):
 def odd_cycle_transversal(g: Graph, budget: int | None = None):
     """Minimum vertex set whose deletion leaves a bipartite graph, by
     iterative deepening over the vertices of a shortest odd cycle."""
+
+    def children(alive):
+        return (alive - {v} for v in shortest_odd_cycle(g, alive))  # odd: it failed under a lower limit
+
+    everything = frozenset(range(g.n))
     hi = g.n if budget is None else min(budget, g.n)
-    for k in range(hi + 1):
-        visited: set[frozenset[int]] = set()
-        res = _oct_decide(g, frozenset(range(g.n)), k, visited)
-        if res is not None:
-            return len(res), frozenset(res)
-    return None
-
-
-def _oct_decide(g, alive: frozenset[int], k: int, visited) -> set[int] | None:
-    cycle = shortest_odd_cycle(g, alive)
-    if cycle is None:
-        return set()
-    if k == 0 or alive in visited:
-        return None
-    visited.add(alive)
-    for v in cycle:
-        res = _oct_decide(g, alive - {v}, k - 1, visited)
-        if res is not None:
-            res.add(v)
-            return res
-    return None
+    alive = shallowest(everything, lambda alive: bipartition(g, alive) is not None, children, hi)
+    return None if alive is None else (g.n - len(alive), everything - alive)
 
 
 def hitting_number(g: Graph, fam: HitFamily) -> int:

@@ -28,6 +28,21 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return Graph.from_edges(a.n + b.n, edges)
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def serialize_cnf(phi) -> str:
+    lines = [f"p cnf {phi.n} {phi.m}"]
+    lines.extend(" ".join(str(l) for l in c) + " 0" for c in phi.clauses)
+    return "\n".join(lines) + "\n"
+
+
 def grid_graph(rows: int, cols: int) -> Graph:
     """The rows x cols grid; vertex cols * r + c sits in row r, column c."""
     return Graph.from_edges(rows * cols,

@@ -32,11 +32,9 @@ from contrablock.graphs import (
     contract_edge,
     contract_set,
     cycle_graph,
-    disjoint_union,
     induced_subgraph,
     path_graph,
     serialize_graph,
-    star_graph,
     subdivide_edges,
 )
 from contrablock.reductions import (
@@ -62,10 +60,12 @@ from .conftest import (
     brute_fvs,
     brute_oct,
     brute_vc,
+    disjoint_union,
     min_coloring_cost,
     random_bipartite_graph,
     random_connected_graph,
     random_graph,
+    star_graph,
 )
 
 PHI0 = clean_formula(2, [(1, 2), (1, -2), (-1, 2)])

@@ -332,6 +332,13 @@ class TestValueErrorsExitTwo:
         assert exc.value.code == 2 and captured.out == ""
         assert "argument --brute: not allowed with argument --approx" in captured.err
 
+    def test_bipartite_and_modulator_exclude_each_other(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["vc", files["c5.gr"], "--bipartite", "--modulator", "0"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --modulator: not allowed with argument --bipartite" in captured.err
+
     def test_bad_modulator_names_the_flag(self, files, capsys):
         self.check(capsys, ["vc", files["c5.gr"], "--modulator", "0,x"], "bad modulator '0,x', expected V,V,...")
 

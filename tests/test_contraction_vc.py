@@ -22,13 +22,11 @@ from contrablock.graphs import (
     connected_components,
     contract_set,
     cycle_graph,
-    disjoint_union,
     path_graph,
-    star_graph,
 )
 from contrablock.vertex_cover import vc_branching
 
-from .conftest import random_connected_graph, random_graph
+from .conftest import disjoint_union, random_connected_graph, random_graph, star_graph
 
 
 def min_drop_edges(g, d, cap):

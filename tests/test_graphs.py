@@ -13,7 +13,6 @@ from contrablock.graphs import (
     contract_edge,
     contract_set,
     cycle_graph,
-    disjoint_union,
     parse_graph,
     path_graph,
     serialize_graph,
@@ -21,7 +20,7 @@ from contrablock.graphs import (
     subdivide_edges,
 )
 
-from .conftest import random_graph
+from .conftest import disjoint_union, random_graph
 
 
 def edge_subsets(draw_edges):

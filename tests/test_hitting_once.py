@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 
 from contrablock import transversal as tr
-from contrablock.graphs import complete_graph, contract_set, cycle_graph, disjoint_union, path_graph
+from contrablock.graphs import complete_graph, contract_set, cycle_graph, path_graph
 from contrablock.reductions import (
     ClaimReport,
     GadgetInstance,
@@ -36,7 +36,7 @@ from contrablock.transversal import (
 )
 from contrablock.vertex_cover import vc_branching
 
-from .conftest import random_graph
+from .conftest import disjoint_union, random_graph
 
 PHI0 = clean_formula(2, [(1, 2), (1, -2), (-1, 2)])
 # _mg_copy calls of the earlier feedback_vertex_set on the PHI0 theorem-1 gadget

@@ -22,12 +22,13 @@ from contrablock.reductions import (
     default_family,
     enumerate_clean_formulas,
     parse_cnf,
-    serialize_cnf,
     serialize_roles,
     validate_clean,
     verify_claims,
 )
 from contrablock.transversal import HitFamily, feedback_vertex_set, find_dropping_edge
+
+from .conftest import serialize_cnf
 
 PHI0 = clean_formula(2, [(1, 2), (1, -2), (-1, 2)])
 
@@ -87,6 +88,10 @@ class TestEnumeration:
     def test_counts(self):
         assert len(list(enumerate_clean_formulas(2))) == 8
         assert len(list(enumerate_clean_formulas(3))) == 256
+
+    def test_no_formulas_without_variables(self):
+        assert list(enumerate_clean_formulas(0)) == []
+        assert list(enumerate_clean_formulas(-1)) == []
 
     def test_phi0_in_sweep(self):
         canon = tuple(sorted(tuple(sorted(c, key=lambda l: (abs(l), -l))) for c in PHI0.clauses))

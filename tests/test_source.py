@@ -63,8 +63,6 @@ def test_benchmark_traced_names_exist():
 # keeps an explicit stack, so no input size reaches the recursion limit
 RECURSION_ALLOWED = {
     "vertex_cover._decide_cover",
-    "bipartite_contraction._bc_search",
-    "transversal._oct_decide",
     "transversal._fvs_solve",
 }
 

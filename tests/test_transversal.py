@@ -8,9 +8,7 @@ from contrablock.graphs import (
     complete_graph,
     contract_edge,
     cycle_graph,
-    disjoint_union,
     path_graph,
-    star_graph,
 )
 from contrablock.transversal import (
     HitFamily,
@@ -21,7 +19,7 @@ from contrablock.transversal import (
     min_transversal,
     odd_cycle_transversal,
 )
-from .conftest import brute_fvs, brute_oct, brute_vc, is_forest, random_graph
+from .conftest import brute_fvs, brute_oct, brute_vc, disjoint_union, is_forest, random_graph, star_graph
 
 BOWTIE = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
 

@@ -9,7 +9,6 @@ from contrablock.graphs import (
     contract_edge,
     cycle_graph,
     path_graph,
-    star_graph,
 )
 from contrablock.vertex_cover import (
     vc_after_contraction,
@@ -18,7 +17,7 @@ from contrablock.vertex_cover import (
     vc_with_modulator,
 )
 
-from .conftest import brute_vc, cover_is_valid, random_bipartite_graph
+from .conftest import brute_vc, cover_is_valid, random_bipartite_graph, star_graph
 
 
 class TestBranching:
