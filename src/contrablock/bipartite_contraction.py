@@ -60,7 +60,7 @@ def contraction_to_coloring(g: Graph, contracted) -> Coloring:
 def bc_decide(g: Graph, k: int) -> list[Edge] | None:
     """An edge set F with |F| <= k and g/F bipartite, or None.
 
-    Iterative deepening over sets of chosen edges; a set's children add
+    Level-order search over sets of chosen edges; a set's children add
     each original edge between two classes, one of them on a shortest odd
     cycle of the current quotient.  Destroying every odd cycle requires
     contracting such an edge, so the search is complete.
@@ -71,7 +71,7 @@ def bc_decide(g: Graph, k: int) -> list[Edge] | None:
 
     def children(chosen):
         res = contract_set(g, chosen)
-        on_cycle = set(shortest_odd_cycle(res.quotient))  # odd: it failed under a lower limit
+        on_cycle = set(shortest_odd_cycle(res.quotient))  # odd: its level failed the goal
         for e in edges:
             a, b = res.vmap[e[0]], res.vmap[e[1]]
             if a != b and (a in on_cycle or b in on_cycle):  # a == b: inside one class, no change

@@ -41,17 +41,22 @@ def _edge_list(edges) -> str:
     return " ".join(f"{u}-{v}" for u, v in sorted(edges))
 
 
+_SYMBOLIC_FAMILIES = {
+    "vc": transversal.HitFamily.vertex_cover,
+    "fvs": transversal.HitFamily.feedback_vertex_set,
+    "oct": transversal.HitFamily.odd_cycle_transversal,
+}
+
+
 def _parse_family(name: str, relation: str) -> transversal.HitFamily:
-    if name == "vc":
-        return transversal.HitFamily.vertex_cover()
-    if name == "fvs":
-        return transversal.HitFamily.feedback_vertex_set()
-    if name == "oct":
-        return transversal.HitFamily.odd_cycle_transversal()
     if name.startswith("pattern:"):
         pattern = _load_graph(name.split(":", 1)[1])
         return transversal.HitFamily.explicit([pattern], relation)
-    raise InputError(f"unknown family {name!r}")
+    if name not in _SYMBOLIC_FAMILIES:
+        raise InputError(f"unknown family {name!r}")
+    if relation != "subgraph":
+        raise InputError(f"--relation applies to pattern: families only, not to {name!r}")
+    return _SYMBOLIC_FAMILIES[name]()
 
 
 _RELATIONS = {
@@ -138,10 +143,13 @@ def _cmd_reduce(args) -> int:
     inst = _build_instance(phi, args)
     graph_path = f"{args.output}.gr"
     roles_path = f"{args.output}.roles"
-    with open(graph_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_graph(inst.graph))
-    with open(roles_path, "w", encoding="utf-8") as fh:
-        fh.write(reductions.serialize_roles(inst))
+    outputs = {graph_path: serialize_graph(inst.graph), roles_path: reductions.serialize_roles(inst)}
+    for path, text in outputs.items():
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
     print(f"vertices={inst.graph.n}")
     print(f"edges={inst.graph.m}")
     print(f"threshold={inst.threshold}")

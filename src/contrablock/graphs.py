@@ -212,29 +212,28 @@ def depth_first(root, children):
 
 
 def shallowest(root, goal, children, hi: int):
-    """Depth-first iterative deepening: the first goal state in preorder
-    among the fewest ``children`` steps below ``root`` (at most ``hi``), or None.
+    """Level-order search: the first goal state among the fewest
+    ``children`` steps below ``root`` (at most ``hi``), or None.
 
-    Each limit 0..hi walks ``depth_first`` over (depth, state) nodes; it
-    expands only nodes above the limit, skips states already reached under
-    it, and tests ``goal`` only at the limit.  This is exact because a
-    state fixes its depth (``|chosen|`` in ``bc_decide``, ``n - |alive|``
-    in ``odd_cycle_transversal``) and every state above the limit already
-    failed ``goal`` under a lower one."""
-    for limit in range(hi + 1):
-        seen = {root}
-
-        def below(node):
-            depth, state = node
-            if depth < limit:
-                for child in children(state):
-                    if child not in seen:
-                        seen.add(child)
-                        yield depth + 1, child
-
-        for depth, state in depth_first((0, root), below):
-            if depth == limit and goal(state):
-                return state
+    A level's states are expanded in order and each new child is tested
+    as it is generated; one ``seen`` set keeps a state from being tested
+    or expanded twice, and a state is expanded only after its level failed."""
+    if hi < 0:
+        return None
+    if goal(root):
+        return root
+    seen = {root}
+    level = [root]
+    for _ in range(hi):
+        following = []
+        for state in level:
+            for child in children(state):
+                if child not in seen:
+                    if goal(child):
+                        return child
+                    seen.add(child)
+                    following.append(child)
+        level = following
     return None
 
 

@@ -570,10 +570,10 @@ def feedback_vertex_set(g: Graph, budget: int | None = None):
 
 def odd_cycle_transversal(g: Graph, budget: int | None = None):
     """Minimum vertex set whose deletion leaves a bipartite graph, by
-    iterative deepening over the vertices of a shortest odd cycle."""
+    level-order search over the vertices of a shortest odd cycle."""
 
     def children(alive):
-        return (alive - {v} for v in shortest_odd_cycle(g, alive))  # odd: it failed under a lower limit
+        return (alive - {v} for v in shortest_odd_cycle(g, alive))  # odd: its level failed the goal
 
     everything = frozenset(range(g.n))
     hi = g.n if budget is None else min(budget, g.n)

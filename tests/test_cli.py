@@ -236,6 +236,13 @@ class TestReduceAndVerify:
         code = main(["reduce", files["phi0.cnf"], "--theorem", "2", "-o", "/tmp/x"])
         assert code == 2
 
+    def test_reduce_into_missing_directory(self, files, capsys, tmp_path):
+        prefix = tmp_path / "missing" / "inst"
+        code = main(["reduce", files["phi0.cnf"], "--theorem", "1", "-o", str(prefix)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {prefix}.gr: ") and "Traceback" not in captured.err
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -256,6 +263,19 @@ class TestErrors:
 
     def test_non_edge(self, files, capsys):
         assert main(["blocker-edge", files["p4.gr"], "-e", "0,3", "--family", "vc"]) == 2
+
+    @pytest.mark.parametrize("family", ["vc", "fvs", "oct"])
+    @pytest.mark.parametrize("relation", ["induced", "minor", "topo"])
+    def test_relation_on_symbolic_family(self, files, capsys, family, relation):
+        # under minor, C4 has a K3 minor, so "oct" there would not mean odd cycles
+        for argv in (["tau", files["c4.gr"]], ["blocker-edge", files["c4.gr"], "-e", "0,1"]):
+            code = main([*argv, "--family", family, "--relation", relation])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err == f"error: --relation applies to pattern: families only, not to {family!r}\n"
+
+    def test_subgraph_relation_on_symbolic_family(self, files, capsys):
+        assert run(capsys, ["tau", files["c4.gr"], "--family", "oct", "--relation", "subgraph"]) == (0, "0\n")
 
 
 def test_sample_edges_and_full_scan_exclude_each_other(files, capsys):

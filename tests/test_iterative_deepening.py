@@ -10,7 +10,7 @@ import random
 import pytest
 
 from contrablock.bipartite_contraction import bc_decide
-from contrablock.graphs import contract_set, depth_first, shallowest, shortest_odd_cycle
+from contrablock.graphs import complete_graph, contract_set, cycle_graph, depth_first, shallowest, shortest_odd_cycle
 from contrablock.transversal import odd_cycle_transversal
 
 from .conftest import disjoint_union, random_graph
@@ -114,6 +114,29 @@ def test_odd_cycle_transversal_matches_reference():
     assert {0, 1, 2, 3, 4, None} <= sizes
 
 
+def _copies(g, count):
+    union = g
+    for _ in range(count - 1):
+        union = disjoint_union(union, g)
+    return union
+
+
+def test_deep_searches_match_reference():
+    # each triangle needs one contraction or deletion and each K4 two, so
+    # these searches go 4-8 levels deep; bc stops at three K4 to keep the
+    # reference's time short
+    triangles = [(_copies(cycle_graph(3), t), t) for t in range(4, 8)]
+    k4s = [(_copies(complete_graph(4), c), 2 * c) for c in range(2, 5)]
+    for g, opt in triangles + k4s[:2]:
+        for k in range(opt + 1):
+            assert bc_decide(g, k) == _reference_bc_decide(g, k), (g, k)
+        assert len(bc_decide(g, opt)) == opt
+    for g, opt in triangles + k4s:
+        for budget in (None, *range(opt + 1)):
+            assert odd_cycle_transversal(g, budget) == _reference_odd_cycle_transversal(g, budget), (g, budget)
+        assert odd_cycle_transversal(g)[0] == opt
+
+
 def test_negative_budgets():
     g = random_graph(random.Random(5), 6, 0.8)
     with pytest.raises(ValueError, match="non-negative"):
@@ -137,15 +160,21 @@ def test_shallowest_takes_the_first_goal_of_the_lowest_depth():
 
 def test_shallowest_skips_repeated_states():
     # a state is a set, reached in every order of its members; each is
-    # tested once per limit
+    # tested once and expanded at most once, and the last level is not expanded
     tested = []
+    expanded = []
 
     def goal(s):
         tested.append(s)
         return False
 
-    assert shallowest(frozenset(), goal, lambda s: (s | {x} for x in range(3) if x not in s), 3) is None
+    def children(s):
+        expanded.append(s)
+        return (s | {x} for x in range(3) if x not in s)
+
+    assert shallowest(frozenset(), goal, children, 3) is None
     assert len(tested) == len(set(tested)) == 1 + 3 + 3 + 1
+    assert len(expanded) == len(set(expanded)) == 1 + 3 + 3
 
 
 def test_depth_first_is_preorder_and_not_bounded_by_recursion():
