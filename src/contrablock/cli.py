@@ -88,6 +88,8 @@ def _cmd_vc(args) -> int:
 def _cmd_tau(args) -> int:
     g = _load_graph(args.graph)
     fam = _parse_family(args.family, _RELATIONS[args.relation])
+    if args.budget is not None and args.budget < 0:
+        raise InputError("budget must be non-negative")
     res = transversal.min_transversal(g, fam, budget=args.budget)
     if res is None:
         raise BudgetExceeded(f"hitting number exceeds budget {args.budget}")

@@ -19,6 +19,7 @@ from .graphs import (
     bipartition,
     connected_components,
     contract_set,
+    forest_sets,
     induced_subgraph,
     is_connected,
 )
@@ -152,6 +153,20 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
     return chosen
 
 
+def _matching_exceeds(edges, cls, budget: int) -> bool:
+    """Whether a greedy maximal matching of the quotient that ``cls`` maps
+    ``edges`` onto has more than ``budget`` edges.  Each matching edge needs
+    its own cover vertex, so then no cover of the quotient fits the budget."""
+    matched: set[int] = set()
+    for u, v in edges:
+        a, b = cls[u], cls[v]
+        if a != b and a not in matched and b not in matched:
+            matched.update((a, b))
+            if len(matched) > 2 * budget:
+                return True
+    return False
+
+
 def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
     """(minimum contraction count, witness) for dropping the cover of one
     connected component by d_prime; (inf, None) when unattainable."""
@@ -171,12 +186,12 @@ def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
         return len(tree), tuple(tree)
     target = vc_c - d_prime
     cap = min(2 * d_prime, c.m)
+    edges = c.sorted_edges()
     for size in range(d_prime, cap + 1):  # each contraction drops the cover by <= 1
-        for f in combinations(c.sorted_edges(), size):
-            q = contract_set(c, f).quotient
-            if q.n > c.n - size:
-                continue  # an edge of f closes a cycle, so a smaller set has this quotient
-            if vc_branching(q, budget=target) is not None:
+        for f, cls in forest_sets(c, size):
+            if _matching_exceeds(edges, cls, target):
+                continue
+            if vc_branching(contract_set(c, f).quotient, budget=target) is not None:
                 return size, f
     raise RuntimeError("a drop of d' needs at most 2d' contractions when vc > d'")
 
@@ -255,16 +270,18 @@ def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | N
     plus merged classes; each quotient only asks whether its cover fits
     the target.
 
-    A set with an edge that closes a cycle is skipped: its quotient is that
-    of a smaller set, which either was tried already or is too small."""
+    Only acyclic sets are walked (``forest_sets``): a set with an edge that
+    closes a cycle has the quotient of a smaller set, which either was tried
+    already or is too small.  A set whose quotient has a matching larger
+    than the target is refused before its quotient is built."""
     anchors = sorted({v for e in low_bc_witness for v in e})
     target = vc_with_modulator(g, anchors).size - d
     all_edges = g.sorted_edges()
     for size in range(d, k + 1):  # each contraction drops the cover by <= 1
-        for f in combinations(all_edges, size):
-            res = contract_set(g, f)
-            if res.quotient.n > g.n - size:
+        for f, cls in forest_sets(g, size):
+            if _matching_exceeds(all_edges, cls, target):
                 continue
+            res = contract_set(g, f)
             modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
             if vc_with_modulator_fits(res.quotient, modulator, target):
                 return f

@@ -211,6 +211,33 @@ def depth_first(root, children):
             stack.pop()
 
 
+def forest_sets(g: Graph, size: int):
+    """Every acyclic set of ``size`` edges of ``g`` in
+    ``itertools.combinations(g.sorted_edges(), size)`` order, as
+    ``(edges, cls)`` with ``cls[v]`` the smallest vertex of v's class in the
+    contraction of ``edges``.
+
+    The sets are the full-size nodes of a prefix tree walked by
+    ``depth_first``.  A child adds a later edge whose ends lie in different
+    classes, so a prefix that closes a cycle is cut with all its
+    extensions, and a child is made only while enough edges remain."""
+    edges = g.sorted_edges()
+
+    def children(node):
+        start, chosen, cls = node
+        if len(chosen) == size:
+            return
+        for i in range(start, len(edges) - size + len(chosen) + 1):
+            a, b = cls[edges[i][0]], cls[edges[i][1]]
+            if a != b:
+                lo, hi = (a, b) if a < b else (b, a)
+                yield i + 1, chosen + (edges[i],), tuple(lo if c == hi else c for c in cls)
+
+    for _, chosen, cls in depth_first((0, (), tuple(range(g.n))), children):
+        if len(chosen) == size:
+            yield chosen, cls
+
+
 def shallowest(root, goal, children, hi: int):
     """Level-order search: the first goal state among the fewest
     ``children`` steps below ``root`` (at most ``hi``), or None.

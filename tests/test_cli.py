@@ -126,6 +126,15 @@ class TestVcAndTau:
         code = main(["tau", files["c5.gr"], "--family", "vc", "--budget", "2"])
         assert code == 3
 
+    def test_tau_negative_budget_is_an_input_error(self, files, capsys):
+        # as for bc --max -1: a negative budget is malformed input, not a budget the answer exceeds
+        for argv in (*(["tau", files["tree.gr"], "--family", f, "--budget", "-1"] for f in ("vc", "fvs", "oct")),
+                     ["bc", files["c5.gr"], "--max", "-1"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", "error: budget must be non-negative\n")
+        assert run(capsys, ["tau", files["tree.gr"], "--family", "fvs", "--budget", "0"]) == (0, "0\n")
+
     def test_tau_pattern_file(self, files, capsys, tmp_path):
         pattern = tmp_path / "k3.gr"
         pattern.write_text("3 3\n0 1\n1 2\n0 2\n")

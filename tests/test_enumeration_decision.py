@@ -3,8 +3,11 @@
 Each ``_reference_*`` function below is the code the library carried before
 the enumeration asked a yes/no question of each quotient: quotients were
 built through the validating ``Graph.from_edges``, and ``_component_opt``
-tried every edge set, including sets with an edge that closes a cycle.  The
-new code must return exactly the same quotients, values and witnesses, and
+tried every edge set, including sets with an edge that closes a cycle.
+``_reference_enumerate`` is the enumeration before it walked acyclic edge
+prefixes and refused sets by a matching bound: it built the quotient of every
+``combinations`` set and skipped those that closed a cycle.  The new code
+must return exactly the same quotients, values and witnesses, and
 ``vc_with_modulator_fits`` must agree with the size of the full modulator
 solve at every budget.
 """
@@ -18,18 +21,21 @@ from itertools import combinations
 import pytest
 
 from contrablock import contraction_vc, vertex_cover
-from contrablock.contraction_vc import _component_opt, algorithm1
+from contrablock.bipartite_contraction import bc_decide
+from contrablock.contraction_vc import _component_opt, _enumerate, algorithm1
 from contrablock.graphs import (
     ContractionResult,
     Graph,
     bfs,
     bipartition,
     contract_set,
+    cycle_graph,
+    forest_sets,
     is_connected,
 )
 from contrablock.vertex_cover import vc_branching, vc_with_modulator, vc_with_modulator_fits
 
-from .conftest import grid_graph, random_connected_graph, random_graph
+from .conftest import grid_graph, random_bipartite_graph, random_connected_graph, random_graph
 
 
 def _reference_contract_set(g, contracted):
@@ -77,6 +83,21 @@ def _reference_component_opt(c, d_prime, paper_convention):
             if vc_branching(q, budget=target) is not None:
                 return size, f
     raise RuntimeError("a drop of d' needs at most 2d' contractions when vc > d'")
+
+
+def _reference_enumerate(g, k, d, low_bc_witness):
+    anchors = sorted({v for e in low_bc_witness for v in e})
+    target = vc_with_modulator(g, anchors).size - d
+    all_edges = g.sorted_edges()
+    for size in range(d, k + 1):  # each contraction drops the cover by <= 1
+        for f in combinations(all_edges, size):
+            res = contract_set(g, f)
+            if res.quotient.n > g.n - size:
+                continue
+            modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
+            if vc_with_modulator_fits(res.quotient, modulator, target):
+                return f
+    return None
 
 
 def _random_modulator(rng, g):
@@ -158,16 +179,76 @@ class TestCycleClosingSets:
                         g, d_prime, paper), (g, d_prime, paper)
 
 
+def _relabelled_cycle(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in cycle_graph(n).edges])
+
+
+class TestForestWalk:
+    def test_forest_sets_are_the_acyclic_combinations(self):
+        rng = random.Random(7005)
+        graphs = [random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.8])) for _ in range(100)]
+        graphs = [g for g in graphs if g.m <= 12] + [grid_graph(3, 3), _relabelled_cycle(rng, 6)]
+        for g in graphs:
+            for size in range(5):
+                want = []
+                for f in combinations(g.sorted_edges(), size):
+                    res = contract_set(g, f)
+                    if res.quotient.n == g.n - size:
+                        low = [min(c) for c in res.classes()]
+                        want.append((f, tuple(low[res.vmap[v]] for v in range(g.n))))
+                assert list(forest_sets(g, size)) == want, (g, size)
+
+    def test_enumerate_matches_the_reference(self):
+        rng = random.Random(7006)
+        graphs = []
+        for _ in range(70):
+            n = rng.randint(4, 11)
+            graphs.append(random_graph(rng, n, rng.choice([0.25, 0.35, 0.5])))
+            graphs.append(random_bipartite_graph(rng, n, n))
+        graphs = [g for g in graphs if g.m <= 14] + [grid_graph(3, 3), grid_graph(3, 4), grid_graph(4, 4)]
+        graphs += [_relabelled_cycle(rng, n) for n in range(9, 15)]
+        found = tried = 0
+        for g in graphs:
+            for d in range(1, 4):
+                low_bc_witness = bc_decide(g, d - 1)
+                if low_bc_witness is None:
+                    continue
+                # The reference tries sets by size, so its first set at
+                # k = 2d - 1 is its answer at every k it fits, and none below.
+                first = _reference_enumerate(g, 2 * d - 1, d, low_bc_witness)
+                for k in range(d, 2 * d):
+                    want = first if first is not None and len(first) <= k else None
+                    assert _enumerate(g, k, d, low_bc_witness) == want, (g, k, d)
+                    tried += 1
+                    found += want is not None
+        assert tried >= 500 and found >= 150, (tried, found)
+
+
 class TestEnumerationCalls:
     def test_grid_enumeration_decides_each_quotient(self, monkeypatch):
         """On grid 4x4 at k = 5, d = 3 the enumeration solves one full
-        modulator cover, for its target, and decides every quotient without
-        a König cover extraction.  Each counter wraps the module attribute
-        its caller resolves."""
-        calls = {"full": 0, "fits": 0, "bipartite_outside_full": 0}
+        modulator cover, for its target, and decides every quotient it
+        builds without a König cover extraction.  Of the 5,388 acyclic sets
+        it walks, the matching bound refuses all but 960 before a quotient
+        is built.  Each counter wraps the module attribute its caller
+        resolves."""
+        calls = {"full": 0, "fits": 0, "bipartite_outside_full": 0, "sets": 0, "cut": 0}
         inside_full = [0]
         full, fits = contraction_vc.vc_with_modulator, contraction_vc.vc_with_modulator_fits
         bipartite = vertex_cover.vc_bipartite
+        sets, exceeds = contraction_vc.forest_sets, contraction_vc._matching_exceeds
+
+        def counted_sets(*args):
+            for item in sets(*args):
+                calls["sets"] += 1
+                yield item
+
+        def counted_exceeds(*args):
+            cut = exceeds(*args)
+            calls["cut"] += cut
+            return cut
 
         def counted_full(*args):
             calls["full"] += 1
@@ -189,8 +270,11 @@ class TestEnumerationCalls:
         monkeypatch.setattr(contraction_vc, "vc_with_modulator", counted_full)
         monkeypatch.setattr(contraction_vc, "vc_with_modulator_fits", counted_fits)
         monkeypatch.setattr(vertex_cover, "vc_bipartite", counted_bipartite)
+        monkeypatch.setattr(contraction_vc, "forest_sets", counted_sets)
+        monkeypatch.setattr(contraction_vc, "_matching_exceeds", counted_exceeds)
         dec = algorithm1(grid_graph(4, 4), 5, 3)
         assert dec.answer and dec.trace == "enumeration-yes"
         assert dec.witness == ((1, 2), (1, 5), (4, 5), (4, 8))
         assert calls["full"] == 1 and calls["bipartite_outside_full"] == 0, calls
-        assert calls["fits"] > 1000, calls
+        assert calls["sets"] == 5388 and calls["fits"] == 960, calls
+        assert calls["sets"] - calls["fits"] == calls["cut"], calls
