@@ -8,7 +8,6 @@ witnesses print as ``u-v`` lists, reports as key=value lines.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from . import bipartite_contraction, contraction_vc, reductions, transversal, vertex_cover
@@ -192,9 +191,15 @@ def _load_cnf(path: str) -> reductions.CleanFormula:
         raise InputError(f"{path}: {exc}") from exc
 
 
+_INSTANCE_FLAGS = {1: "gadget", 2: "clique", 3: "path"}
+
+
 def _build_instance(phi, args) -> reductions.GadgetInstance:
+    for theorem, flag in _INSTANCE_FLAGS.items():
+        if theorem != args.theorem and getattr(args, flag) is not None:
+            raise InputError(f"--{flag} applies to --theorem {theorem} only")
     if args.theorem == 1:
-        if args.gadget == "c4":
+        if args.gadget in (None, "c4"):
             return reductions.build_double_copy_instance(phi, cycle_graph(4), 0, 2)
         return reductions.build_double_copy_instance(phi, _load_graph(args.gadget))
     if args.theorem == 2:
@@ -208,16 +213,12 @@ def _build_instance(phi, args) -> reductions.GadgetInstance:
 
 def _add_instance_flags(sub) -> None:
     sub.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True)
-    sub.add_argument("--gadget", default="c4", help="c4 or a pattern graph file (theorem 1)")
+    sub.add_argument("--gadget", help="c4 (the default) or a pattern graph file (theorem 1)")
     sub.add_argument("--clique", type=int, help="clique size (theorem 2)")
     sub.add_argument("--path", type=int, help="path length in vertices (theorem 3)")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every
-    caller, who must not change it; ``parse_args`` keeps no state between
-    calls."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="contrablock")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -282,9 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: ``parse_args`` keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError) as exc:

@@ -3,11 +3,14 @@
 The solver follows a branch cascade: a trivial refusal when k < d, a cheap
 yes when the bipartite contraction number is at least d, a component DP when
 every component has a small cover, a guaranteed witness when k >= 2d, and a
-bounded enumeration with a bipartite modulator otherwise.
+bounded enumeration with a bipartite modulator otherwise.  One cascade serves
+``algorithm1`` and both ``min_contract_*`` functions, and the component DP is
+one forward pass over the components.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -204,49 +207,31 @@ def component_opt(c: Graph, d_prime: int, paper_convention: bool = False):
 
 
 def _dp_with_witness(g: Graph, d: int, paper_convention: bool):
+    """(minimum count, sorted witness) for dropping the cover number by d,
+    split over components whose cover numbers are all at most d; (inf, None)
+    when no split is attainable.  One forward pass over the components keeps
+    ``best[j]``, the cheapest drop of j so far; each j tries its component's
+    share q in ascending order and keeps the first strict minimum."""
     if d < 0:
         raise ValueError("drop must be non-negative")
-    if d == 0:
-        return 0, ()
-    if _large_component(g, d) is not None:
-        raise ValueError("every component must have cover number at most the drop")
-    subs = [induced_subgraph(g, c) for c in connected_components(g)]
-
-    p = len(subs)
-    opt_cache: dict[tuple[int, int], tuple] = {}
-
-    def opt(i: int, q: int):
-        if (i, q) not in opt_cache:
-            opt_cache[(i, q)] = _component_opt(subs[i][0], q, paper_convention)
-        return opt_cache[(i, q)]
-
-    dp = [[math.inf] * (d + 1) for _ in range(p + 1)]
-    take = [[0] * (d + 1) for _ in range(p + 1)]
-    for i in range(p + 1):
-        dp[i][0] = 0
-    for i in range(1, p + 1):
-        for j in range(1, d + 1):
+    best = [(0, ())] + [(math.inf, None)] * d
+    for comp in connected_components(g):
+        sub, old = induced_subgraph(g, comp)
+        opt = functools.cache(lambda q: _component_opt(sub, q, paper_convention))
+        step = []
+        for j in range(d + 1):
+            cand = (math.inf, None)
             for q in range(j + 1):
-                prev = dp[i - 1][j - q]
-                if math.isinf(prev):
+                count, edges = best[j - q]
+                if math.isinf(count):
                     continue
-                val = opt(i - 1, q)[0]
-                if prev + val < dp[i][j]:
-                    dp[i][j] = prev + val
-                    take[i][j] = q
-    if math.isinf(dp[p][d]):
-        return math.inf, None
-
-    edges: list[Edge] = []
-    j = d
-    for i in range(p, 0, -1):
-        q = take[i][j]
-        if q:
-            _, wit = opt(i - 1, q)
-            old = subs[i - 1][1]
-            edges.extend((min(old[a], old[b]), max(old[a], old[b])) for a, b in wit)
-        j -= q
-    return int(dp[p][d]), tuple(sorted(edges))
+                val, wit = opt(q)
+                if count + val < cand[0]:
+                    cand = count + val, edges + tuple((min(old[a], old[b]), max(old[a], old[b])) for a, b in wit)
+            step.append(cand)
+        best = step
+    count, edges = best[d]
+    return count, None if edges is None else tuple(sorted(edges))
 
 
 def _large_component(g: Graph, d: int) -> list[int] | None:
@@ -260,6 +245,8 @@ def _large_component(g: Graph, d: int) -> list[int] | None:
 def dp_min_contract(g: Graph, d: int, paper_convention: bool = False):
     """Minimum contraction count over a graph whose components all have cover
     number <= d, combined across components by a drop-allocation DP."""
+    if d > 0 and _large_component(g, d) is not None:
+        raise ValueError("every component must have cover number at most the drop")
     return _dp_with_witness(g, d, paper_convention)[0]
 
 
@@ -288,53 +275,46 @@ def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | N
     return None
 
 
+def _cascade(g: Graph, k: int, d: int, paper_convention: bool):
+    """(count, witness, trace) of the cascade for k >= d >= 1: d when bc >= d,
+    the component DP when every component has cover <= d, the size of
+    two_approx_drop when k >= 2d (Lemma 3), and otherwise the size of the
+    first set the enumeration finds at k, or k + 1 when it finds none."""
+    low_bc_witness = bc_decide(g, d - 1)
+    if low_bc_witness is None:
+        return d, lambda: _spanning_forest_witness(g, d), "bc-large"  # fewer than d never drop by d
+    big = _large_component(g, d)
+    if big is None:
+        return (*_dp_with_witness(g, d, paper_convention), "small-components")
+    if k >= 2 * d:
+        witness = tuple(two_approx_drop(g, big, d))
+        return len(witness), witness, "lemma3-budget"
+    witness = _enumerate(g, k, d, low_bc_witness)
+    if witness is None:
+        return k + 1, None, "enumeration-no"
+    return len(witness), witness, "enumeration-yes"
+
+
 def algorithm1(g: Graph, k: int, d: int) -> Decision:
     """Exact decision: can k contractions drop the cover number by d?"""
     if k < 1 or d < 1:
         raise ValueError("k and d must be positive")
     if k < d:
         return Decision(False, None, "trivial-no")
-
-    low_bc_witness = bc_decide(g, d - 1)
-    if low_bc_witness is None:
-        return Decision(True, lambda: _spanning_forest_witness(g, d), "bc-large")
-
-    big = _large_component(g, d)
-    if big is None:
-        value, witness = _dp_with_witness(g, d, paper_convention=False)
-        if value <= k:
-            return Decision(True, witness, "small-components")
-        return Decision(False, None, "small-components")
-
-    if k >= 2 * d:
-        return Decision(True, tuple(two_approx_drop(g, big, d)), "lemma3-budget")
-
-    witness = _enumerate(g, k, d, low_bc_witness)
-    if witness is not None:
-        return Decision(True, witness, "enumeration-yes")
-    return Decision(False, None, "enumeration-no")
+    count, witness, trace = _cascade(g, k, d, paper_convention=False)
+    if count > k:
+        return Decision(False, None, trace)
+    return Decision(True, witness, trace)
 
 
 def _min_contract(g: Graph, d: int, paper_convention: bool, approx: bool) -> int | None:
-    """algorithm1's cascade as an optimisation: d when bc >= d, the component
-    DP when every component has cover <= d, and otherwise, with a component
-    of cover > d, the first set the enumeration finds at k = 2d - 1 (2d when
-    none, by Lemma 3) or, under ``approx``, the size of two_approx_drop."""
+    """The cascade's count at k = 2d - 1, where no set found means 2d by
+    Lemma 3, or under ``approx`` at k = 2d, the size of two_approx_drop.
+    When vc < d, bc < d and every component is small, so the DP says inf."""
     if d < 1:
         raise ValueError("drop must be positive")
-    if vc_branching(g, d - 1) is not None:
-        return None
-    low_bc_witness = bc_decide(g, d - 1)
-    if low_bc_witness is None:
-        return d  # d forest edges suffice and fewer can never drop by d
-    big = _large_component(g, d)
-    if big is None:
-        value = dp_min_contract(g, d, paper_convention)
-        return None if math.isinf(value) else int(value)
-    if approx:
-        return len(two_approx_drop(g, big, d))
-    witness = _enumerate(g, 2 * d - 1, d, low_bc_witness)
-    return 2 * d if witness is None else len(witness)
+    count = _cascade(g, 2 * d if approx else 2 * d - 1, d, paper_convention)[0]
+    return None if math.isinf(count) else count
 
 
 def min_contract_vc(g: Graph, d: int, paper_convention: bool = False) -> int | None:

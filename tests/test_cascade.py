@@ -5,8 +5,10 @@ before ``min_contract_vc`` and ``min_contract_2approx`` shared one cascade:
 ``min_contract_vc`` asked ``algorithm1`` for every k in turn,
 ``min_contract_2approx`` wrote the cascade out again, and
 ``two_approx_drop`` solved an induced copy of the component, twice per
-round.  The new code must return exactly the same values, witnesses and
-``ValueError`` messages for every d >= 1.
+round.  ``_reference_dp_with_witness`` is the component DP as a table with
+a backward reconstruction, before it became one forward pass.  The new code
+must return exactly the same values, witnesses and ``ValueError`` messages
+for every d >= 1.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from contrablock.bipartite_contraction import bc_decide
 from contrablock.contraction_vc import (
     Decision,
+    _component_opt,
     _dp_with_witness,
     _large_component,
     _spanning_forest_witness,
@@ -34,7 +37,7 @@ from contrablock.contraction_vc import (
 from contrablock.graphs import Edge, connected_components, contract_set, induced_subgraph
 from contrablock.vertex_cover import vc_branching, vc_with_modulator
 
-from .conftest import random_graph
+from .conftest import disjoint_union, random_graph
 
 
 def _reference_two_approx_drop(g, component, d):
@@ -148,6 +151,52 @@ def _reference_min_contract_2approx(g, d, paper_convention=False):
     return len(_reference_two_approx_drop(g, big, d))
 
 
+def _reference_dp_with_witness(g, d, paper_convention):
+    if d < 0:
+        raise ValueError("drop must be non-negative")
+    if d == 0:
+        return 0, ()
+    if _large_component(g, d) is not None:
+        raise ValueError("every component must have cover number at most the drop")
+    subs = [induced_subgraph(g, c) for c in connected_components(g)]
+
+    p = len(subs)
+    opt_cache: dict[tuple[int, int], tuple] = {}
+
+    def opt(i: int, q: int):
+        if (i, q) not in opt_cache:
+            opt_cache[(i, q)] = _component_opt(subs[i][0], q, paper_convention)
+        return opt_cache[(i, q)]
+
+    dp = [[math.inf] * (d + 1) for _ in range(p + 1)]
+    take = [[0] * (d + 1) for _ in range(p + 1)]
+    for i in range(p + 1):
+        dp[i][0] = 0
+    for i in range(1, p + 1):
+        for j in range(1, d + 1):
+            for q in range(j + 1):
+                prev = dp[i - 1][j - q]
+                if math.isinf(prev):
+                    continue
+                val = opt(i - 1, q)[0]
+                if prev + val < dp[i][j]:
+                    dp[i][j] = prev + val
+                    take[i][j] = q
+    if math.isinf(dp[p][d]):
+        return math.inf, None
+
+    edges: list[Edge] = []
+    j = d
+    for i in range(p, 0, -1):
+        q = take[i][j]
+        if q:
+            _, wit = opt(i - 1, q)
+            old = subs[i - 1][1]
+            edges.extend((min(old[a], old[b]), max(old[a], old[b])) for a, b in wit)
+        j -= q
+    return int(dp[p][d]), tuple(sorted(edges))
+
+
 def _outcome(fn, *args):
     """The return value, or the type and message of the exception raised."""
     try:
@@ -210,3 +259,30 @@ def test_min_contract_matches_reference(paper_convention):
             values["approx-above-exact"] += want_approx != want
     assert values[None] >= 100 and values["approx-above-exact"] >= 10, values
 
+
+def test_dp_with_witness_matches_reference():
+    # disjoint unions of up to three small random graphs, so the drop is
+    # split over several components; a union with a component of cover > d
+    # is refused by dp_min_contract with the reference's message
+    rng = random.Random(509)
+    seen = Counter()
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 5), rng.choice([0.3, 0.5, 0.7]))
+        for _ in range(rng.randint(1, 2)):
+            g = disjoint_union(g, random_graph(rng, rng.randint(1, 5), rng.choice([0.3, 0.5, 0.7])))
+        for d in range(5):
+            for paper_convention in (False, True):
+                want = _outcome(_reference_dp_with_witness, g, d, paper_convention)
+                if isinstance(want[0], type):  # a component has cover > d
+                    assert _outcome(dp_min_contract, g, d, paper_convention) == want, (g.edges, d)
+                    seen["refused"] += 1
+                    continue
+                assert _dp_with_witness(g, d, paper_convention) == want, (g.edges, d)
+                assert dp_min_contract(g, d, paper_convention) == want[0], (g.edges, d)
+                count, witness = want
+                if math.isinf(count):
+                    seen["inf"] += 1
+                else:
+                    touched = sum(any(u in comp for u, _ in witness) for comp in map(set, connected_components(g)))
+                    seen[f"touches {min(touched, 2)} components"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 100, seen

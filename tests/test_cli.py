@@ -286,6 +286,23 @@ class TestErrors:
     def test_subgraph_relation_on_symbolic_family(self, files, capsys):
         assert run(capsys, ["tau", files["c4.gr"], "--family", "oct", "--relation", "subgraph"]) == (0, "0\n")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--theorem", "2", "--clique", "3", "--gadget", "nonexistent.gr"], "--gadget applies to --theorem 1 only"),
+        (["--theorem", "1", "--clique", "3"], "--clique applies to --theorem 2 only"),
+        (["--theorem", "1", "--path", "4"], "--path applies to --theorem 3 only"),
+    ])
+    def test_flag_of_another_theorem(self, files, capsys, tmp_path, flags, message):
+        prefix = tmp_path / "inst"
+        for argv in (["verify-claims", files["phi0.cnf"]], ["reduce", files["phi0.cnf"], "-o", str(prefix)]):
+            code = main([*argv, *flags])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        assert not list(tmp_path.glob("inst*"))
+
+    def test_c4_gadget_is_the_default(self, files, capsys):
+        argv = ["verify-claims", files["phi0.cnf"], "--theorem", "1"]
+        assert run(capsys, [*argv, "--gadget", "c4"]) == run(capsys, argv)
+
 
 def test_sample_edges_and_full_scan_exclude_each_other(files, capsys):
     argv = ["verify-claims", files["phi0.cnf"], "--theorem", "1", "--sample-edges", "3", "--full-scan"]
