@@ -10,7 +10,6 @@ one forward pass over the components.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import combinations
 
@@ -211,27 +210,37 @@ def _dp_with_witness(g: Graph, d: int, paper_convention: bool):
     split over components whose cover numbers are all at most d; (inf, None)
     when no split is attainable.  One forward pass over the components keeps
     ``best[j]``, the cheapest drop of j so far; each j tries its component's
-    share q in ascending order and keeps the first strict minimum."""
+    share q in ascending order and keeps the first strict minimum.
+
+    A component's optimum is finite for q up to its cover number (one less
+    under ``paper_convention``) and inf above, so ``opts`` stops at the first
+    inf and ``best`` only holds the drops reachable so far, all finite: the
+    work follows the cover numbers, not d."""
     if d < 0:
         raise ValueError("drop must be non-negative")
-    best = [(0, ())] + [(math.inf, None)] * d
+    best = [(0, ())]
     for comp in connected_components(g):
         sub, old = induced_subgraph(g, comp)
-        opt = functools.cache(lambda q: _component_opt(sub, q, paper_convention))
+        opts = []
+        for q in range(d + 1):
+            val, wit = _component_opt(sub, q, paper_convention)
+            if math.isinf(val):
+                break
+            opts.append((val, tuple((min(old[a], old[b]), max(old[a], old[b])) for a, b in wit)))
         step = []
-        for j in range(d + 1):
+        for j in range(min(d, len(best) + len(opts) - 2) + 1):
             cand = (math.inf, None)
-            for q in range(j + 1):
+            for q in range(max(0, j - len(best) + 1), min(j, len(opts) - 1) + 1):
                 count, edges = best[j - q]
-                if math.isinf(count):
-                    continue
-                val, wit = opt(q)
+                val, wit = opts[q]
                 if count + val < cand[0]:
-                    cand = count + val, edges + tuple((min(old[a], old[b]), max(old[a], old[b])) for a, b in wit)
+                    cand = count + val, edges + wit
             step.append(cand)
         best = step
+    if len(best) <= d:
+        return math.inf, None
     count, edges = best[d]
-    return count, None if edges is None else tuple(sorted(edges))
+    return count, tuple(sorted(edges))
 
 
 def _large_component(g: Graph, d: int) -> list[int] | None:
@@ -310,7 +319,8 @@ def algorithm1(g: Graph, k: int, d: int) -> Decision:
 def _min_contract(g: Graph, d: int, paper_convention: bool, approx: bool) -> int | None:
     """The cascade's count at k = 2d - 1, where no set found means 2d by
     Lemma 3, or under ``approx`` at k = 2d, the size of two_approx_drop.
-    When vc < d, bc < d and every component is small, so the DP says inf."""
+    When vc < d, bc < d and every component is small, so the DP says inf
+    after work bounded by the cover numbers, however large d is."""
     if d < 1:
         raise ValueError("drop must be positive")
     count = _cascade(g, 2 * d if approx else 2 * d - 1, d, paper_convention)[0]

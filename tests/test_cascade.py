@@ -21,6 +21,7 @@ from itertools import combinations
 
 import pytest
 
+from contrablock import contraction_vc
 from contrablock.bipartite_contraction import bc_decide
 from contrablock.contraction_vc import (
     Decision,
@@ -34,7 +35,7 @@ from contrablock.contraction_vc import (
     min_contract_vc,
     two_approx_drop,
 )
-from contrablock.graphs import Edge, connected_components, contract_set, induced_subgraph
+from contrablock.graphs import Edge, connected_components, contract_set, cycle_graph, induced_subgraph
 from contrablock.vertex_cover import vc_branching, vc_with_modulator
 
 from .conftest import disjoint_union, random_graph
@@ -286,3 +287,24 @@ def test_dp_with_witness_matches_reference():
                     touched = sum(any(u in comp for u, _ in witness) for comp in map(set, connected_components(g)))
                     seen[f"touches {min(touched, 2)} components"] += 1
     assert len(seen) == 5 and min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("paper_convention", [False, True])
+def test_drop_far_above_the_cover_number_is_cheap(paper_convention, monkeypatch):
+    # vc(C5 + C5) = 6 < d: the DP asks each component for shares up to the
+    # first infinite one only, not for all d + 1 of them
+    asked = Counter()
+    real = contraction_vc._component_opt
+    monkeypatch.setattr(contraction_vc, "_component_opt", lambda c, q, pc: asked.update([q]) or real(c, q, pc))
+    g = disjoint_union(cycle_graph(5), cycle_graph(5))
+    d = 10**5
+    assert min_contract_vc(g, d, paper_convention) is None
+    assert min_contract_2approx(g, d, paper_convention) is None
+    runs = 2
+    if not paper_convention:
+        assert algorithm1(g, d, d) == Decision(False, None, "small-components")
+        runs += 1
+    # C5's optimum is finite up to q = 3 (2 under the paper's convention),
+    # and each run asks both components up to the first infinite share
+    last = 3 if paper_convention else 4
+    assert asked == Counter({q: 2 * runs for q in range(last + 1)}), asked

@@ -299,10 +299,6 @@ class TestErrors:
             assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
         assert not list(tmp_path.glob("inst*"))
 
-    def test_c4_gadget_is_the_default(self, files, capsys):
-        argv = ["verify-claims", files["phi0.cnf"], "--theorem", "1"]
-        assert run(capsys, [*argv, "--gadget", "c4"]) == run(capsys, argv)
-
 
 def test_sample_edges_and_full_scan_exclude_each_other(files, capsys):
     argv = ["verify-claims", files["phi0.cnf"], "--theorem", "1", "--sample-edges", "3", "--full-scan"]
