@@ -24,15 +24,16 @@ def _delete(adj: dict[int, set[int]], vertices) -> None:
                 del adj[w]
 
 
-def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
-    """A vertex cover of size <= k of the graph given by ``adj``, or None.
+def _min_cover(adj: dict[int, set[int]], cap: int) -> set[int] | None:
+    """A minimum vertex cover of the graph given by ``adj``, or None if vc > cap.
 
     ``adj`` holds only vertices with neighbours and is consumed.  Degree-1
     vertices are resolved by taking the neighbor; otherwise branch on a
     maximum-degree vertex v: either v joins the cover or all of N(v) does.
-    Smallest-index tie-breaking keeps the witness deterministic, and the
-    matching bound only cuts subtrees that hold no cover, so it never
-    changes which cover is found.
+    A later child must beat the cover an earlier one found, so the first
+    minimum cover in depth-first order is kept; smallest-index tie-breaking
+    makes it deterministic, and the matching bound only cuts subtrees with
+    no cover under the cap, so it never changes which cover is found.
     """
     picks: set[int] = set()
     while True:
@@ -46,14 +47,14 @@ def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
         w = next(iter(adj[leaf]))
         picks.add(w)
         _delete(adj, (w,))
-        if len(picks) > k:
+        if len(picks) > cap:
             return None
 
     if not adj:
         return picks
-    if len(picks) >= k:
+    if len(picks) >= cap:
         return None
-    budget = k - len(picks)
+    budget = cap - len(picks)
 
     # Every edge of a matching needs its own cover vertex, so a greedy
     # maximal matching with more edges than the budget rules out this subtree.
@@ -70,29 +71,28 @@ def _decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
     # The first child gets a copy of ``adj``; the last consumes it.
     v = max(sorted(adj), key=lambda x: len(adj[x]))
     options = ([v], sorted(adj[v]))
+    best = None
     for i, take in enumerate(options):
         if len(take) > budget:
             continue
         sub = adj if i == len(options) - 1 else {x: set(ns) for x, ns in adj.items()}
         _delete(sub, take)  # deleting N(v) leaves v isolated, so v goes too
-        res = _decide_cover(sub, budget - len(take))
+        res = _min_cover(sub, budget - len(take))
         if res is not None:
-            return picks | set(take) | res
-    return None
+            best = set(take) | res
+            budget = len(best) - 1
+    return None if best is None else picks | best
 
 
 def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResult | None:
-    """Minimum vertex cover by branching; None iff a budget is given and
-    vc(g) exceeds it.  ``allowed`` restricts the graph to an induced vertex
-    subset."""
+    """Minimum vertex cover by branching; None iff a budget is given and vc(g)
+    exceeds it.  ``allowed`` restricts the graph to an induced vertex subset."""
+    if budget is not None and budget < 0:
+        return None
     alive = set(range(g.n) if allowed is None else allowed)
-    adj = {v: ns for v in alive if (ns := g.adj[v] & alive)}
-    hi = len(alive) if budget is None else min(budget, len(alive))
-    for k in range(hi + 1):
-        sol = _decide_cover({v: set(ns) for v, ns in adj.items()}, k)
-        if sol is not None:
-            return CoverResult(len(sol), frozenset(sol))
-    return None
+    adj = {v: set(ns) for v in alive if (ns := g.adj[v] & alive)}
+    sol = _min_cover(adj, len(alive) if budget is None else budget)
+    return None if sol is None else CoverResult(len(sol), frozenset(sol))
 
 
 def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:

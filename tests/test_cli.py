@@ -118,6 +118,20 @@ class TestVcAndTau:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (3, "", "budget exceeded: hitting number exceeds budget 0\n")
 
+    def test_recursion_limit_exits_as_budget_exceeded(self, tmp_path):
+        # the exact hitting solver recurses once per picked vertex, and P500
+        # needs 250 picks; a fresh interpreter keeps the default recursion limit
+        path = tmp_path / "p500.gr"
+        path.write_text("500 499\n" + "".join(f"{i} {i + 1}\n" for i in range(499)))
+        k2 = tmp_path / "k2.gr"
+        k2.write_text("2 1\n0 1\n")
+        src = str(Path(contrablock.__file__).resolve().parents[1])
+        argv = ["tau", str(path), "--family", f"pattern:{k2}"]
+        proc = subprocess.run([sys.executable, "-m", "contrablock.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (3, "", 1), proc.stderr
+        assert proc.stderr.startswith("budget exceeded: ") and "Traceback" not in proc.stderr
+
     def test_tau_fvs_on_tree(self, files, capsys):
         code, out = run(capsys, ["tau", files["tree.gr"], "--family", "fvs"])
         assert code == 0 and out == "0\n"

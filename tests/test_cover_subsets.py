@@ -27,7 +27,7 @@ from contrablock.graphs import (
 )
 from contrablock.vertex_cover import (
     CoverResult,
-    _decide_cover,
+    _min_cover,
     maximum_matching,
     vc_after_contraction,
     vc_bipartite,
@@ -231,19 +231,21 @@ def _odd_cycle_hitting_set(g: Graph) -> set[int]:
 
 class TestBranchingOnSubsets:
     def test_decide_cover_matches_reference(self):
+        """The search at cap k finds the reference's cover at the smallest
+        budget j <= k that has one."""
         nones = 0
         for rng, g, allowed in _corpus(4001, 2000):
             adj = {v: g.adj[v] & allowed for v in sorted(allowed) if g.adj[v] & allowed}
             k = rng.randint(0, len(allowed))
-            want = _reference_decide_cover(adj, k)
-            assert _decide_cover({v: set(ns) for v, ns in adj.items()}, k) == want, (g, allowed, k)
+            want = next((c for j in range(k + 1) if (c := _reference_decide_cover(adj, j)) is not None), None)
+            assert _min_cover({v: set(ns) for v, ns in adj.items()}, k) == want, (g, allowed, k)
             nones += want is None
         assert nones >= 200
 
     def test_vc_branching_matches_induced_copy(self):
         nones = 0
         for rng, g, allowed in _corpus(4002, 2000):
-            budget = rng.choice([None, rng.randint(0, g.n)])
+            budget = rng.choice([None, -1, rng.randint(0, g.n)])
             assert vc_branching(g, budget) == _reference_vc_branching(g, budget)
             sub, old = induced_subgraph(g, allowed)
             want = _mapped(_reference_vc_branching(sub, budget), old)
@@ -258,14 +260,14 @@ class TestBranchingOnSubsets:
         attribute, so the patched counters see every node."""
         g = random_graph(random.Random(60), 60, 0.15)
         nodes = Counter()
-        for module, name in [(vertex_cover, "_decide_cover"),
+        for module, name in [(vertex_cover, "_min_cover"),
                              (sys.modules[__name__], "_reference_decide_cover")]:
             def counted(adj, k, name=name, search=getattr(module, name)):
                 nodes[name] += 1
                 return search(adj, k)
             monkeypatch.setattr(module, name, counted)
         assert vc_branching(g) == _reference_vc_branching(g)
-        assert 2 * nodes["_decide_cover"] <= nodes["_reference_decide_cover"], nodes
+        assert 2 * nodes["_min_cover"] <= nodes["_reference_decide_cover"], nodes
 
 
 class TestBipartiteOnSubsets:

@@ -62,13 +62,14 @@ def test_benchmark_traced_names_exist():
 # searches whose recursion depth is bounded by a budget; every other function
 # keeps an explicit stack, so no input size reaches the recursion limit
 RECURSION_ALLOWED = {
-    "vertex_cover._decide_cover",
+    "vertex_cover._min_cover",
     "transversal._fvs_solve",
 }
 
 # cycles of more than one function in a module's call graph; this one is not
-# bounded by a budget: `tau p1500.gr --family pattern:k2.gr` still exits 1
-# with a RecursionError through both functions
+# bounded by a budget: `tau p500.gr --family pattern:k2.gr` still recurses
+# through both functions past the recursion limit, and the CLI now exits 3
+# (budget exceeded) with one stderr line instead of a traceback
 MUTUAL_RECURSION_ALLOWED = {
     frozenset({"transversal._hit_solve", "transversal._hit_component"}),
 }

@@ -17,7 +17,88 @@ from contrablock.vertex_cover import (
     vc_with_modulator,
 )
 
-from .conftest import brute_vc, cover_is_valid, random_bipartite_graph, star_graph
+from .conftest import brute_vc, cover_is_valid, disjoint_union, random_bipartite_graph, random_graph, star_graph
+
+
+# the cover search as it was before the one-pass branch-and-bound, kept
+# verbatim as an oracle: a decision search restarted at each budget
+def _reference_delete(adj: dict[int, set[int]], vertices) -> None:
+    """Delete ``vertices`` and their edges from ``adj`` in place, dropping
+    vertices left without neighbours."""
+    for v in vertices:
+        for w in adj.pop(v, ()):
+            adj[w].discard(v)
+            if not adj[w]:
+                del adj[w]
+
+
+def _reference_decide_cover(adj: dict[int, set[int]], k: int) -> set[int] | None:
+    """A vertex cover of size <= k of the graph given by ``adj``, or None.
+
+    ``adj`` holds only vertices with neighbours and is consumed.  Degree-1
+    vertices are resolved by taking the neighbor; otherwise branch on a
+    maximum-degree vertex v: either v joins the cover or all of N(v) does.
+    Smallest-index tie-breaking keeps the witness deterministic, and the
+    matching bound only cuts subtrees that hold no cover, so it never
+    changes which cover is found.
+    """
+    picks: set[int] = set()
+    while True:
+        leaf = None
+        for v in sorted(adj):
+            if len(adj[v]) == 1:
+                leaf = v
+                break
+        if leaf is None:
+            break
+        w = next(iter(adj[leaf]))
+        picks.add(w)
+        _reference_delete(adj, (w,))
+        if len(picks) > k:
+            return None
+
+    if not adj:
+        return picks
+    if len(picks) >= k:
+        return None
+    budget = k - len(picks)
+
+    # Every edge of a matching needs its own cover vertex, so a greedy
+    # maximal matching with more edges than the budget rules out this subtree.
+    matched: set[int] = set()
+    for u, ns in adj.items():
+        if u not in matched:
+            for w in ns:
+                if w not in matched:
+                    matched.update((u, w))
+                    break
+    if len(matched) > 2 * budget:
+        return None
+
+    # The first child gets a copy of ``adj``; the last consumes it.
+    v = max(sorted(adj), key=lambda x: len(adj[x]))
+    options = ([v], sorted(adj[v]))
+    for i, take in enumerate(options):
+        if len(take) > budget:
+            continue
+        sub = adj if i == len(options) - 1 else {x: set(ns) for x, ns in adj.items()}
+        _reference_delete(sub, take)  # deleting N(v) leaves v isolated, so v goes too
+        res = _reference_decide_cover(sub, budget - len(take))
+        if res is not None:
+            return picks | set(take) | res
+    return None
+
+
+def _reference_vc_branching(g: Graph, budget: int | None = None, allowed=None):
+    """The decision search above, restarted for each budget 0, 1, ..., vc."""
+    alive = set(range(g.n) if allowed is None else allowed)
+    adj = {v: ns for v in alive if (ns := g.adj[v] & alive)}
+    hi = len(alive) if budget is None else min(budget, len(alive))
+    for k in range(hi + 1):
+        sol = _reference_decide_cover({v: set(ns) for v, ns in adj.items()}, k)
+        if sol is not None:
+            return vertex_cover.CoverResult(len(sol), frozenset(sol))
+    return None
 
 
 class TestBranching:
@@ -37,8 +118,6 @@ class TestBranching:
         assert vc_branching(cycle_graph(5), budget=3).size == 3
 
     def test_matches_subset_enumeration(self, small_graph_corpus):
-        from .conftest import random_graph
-
         corpus = list(small_graph_corpus)
         rng = random.Random(17)
         corpus.extend(random_graph(rng, rng.randint(9, 10), rng.choice([0.3, 0.5])) for _ in range(40))
@@ -46,6 +125,27 @@ class TestBranching:
             res = vc_branching(g)
             assert res.size == brute_vc(g), g.edges
             assert cover_is_valid(g, res.cover)
+
+    def test_matches_budget_deepening_on_deep_trees(self):
+        """One branch-and-bound pass finds the cover that restarting the
+        decision search at each budget finds, on graphs whose search trees
+        are far deeper than the 12-vertex corpora reach."""
+        rng = random.Random(1600)
+        corpus = [random_graph(rng, rng.randint(15, 40), rng.choice([0.05, 0.1, 0.2, 0.3])) for _ in range(200)]
+        for k4s in range(2, 7):
+            for c5s in (0, 1, 2):
+                g = Graph.from_edges(0, [])
+                for h in [complete_graph(4)] * k4s + [cycle_graph(5)] * c5s:
+                    g = disjoint_union(g, h)
+                corpus.append(g)
+        nones = 0
+        for g in corpus:
+            vc = _reference_vc_branching(g).size
+            for budget in (None, -1, vc - 1, vc, vc + 2):
+                want = _reference_vc_branching(g, budget)
+                assert vc_branching(g, budget) == want, (g, budget)
+                nones += want is None
+        assert nones == 2 * len(corpus)  # budgets -1 and vc - 1
 
 
 class TestBipartite:
