@@ -288,7 +288,11 @@ def _cascade(g: Graph, k: int, d: int, paper_convention: bool):
     """(count, witness, trace) of the cascade for k >= d >= 1: d when bc >= d,
     the component DP when every component has cover <= d, the size of
     two_approx_drop when k >= 2d (Lemma 3), and otherwise the size of the
-    first set the enumeration finds at k, or k + 1 when it finds none."""
+    first set the enumeration finds at k, or k + 1 when it finds none.  When
+    vc < d no drop of d exists, and every component is small, so the DP's
+    inf is answered before any search that grows with d."""
+    if vc_branching(g, d - 1) is not None:
+        return math.inf, None, "small-components"
     low_bc_witness = bc_decide(g, d - 1)
     if low_bc_witness is None:
         return d, lambda: _spanning_forest_witness(g, d), "bc-large"  # fewer than d never drop by d
@@ -319,8 +323,8 @@ def algorithm1(g: Graph, k: int, d: int) -> Decision:
 def _min_contract(g: Graph, d: int, paper_convention: bool, approx: bool) -> int | None:
     """The cascade's count at k = 2d - 1, where no set found means 2d by
     Lemma 3, or under ``approx`` at k = 2d, the size of two_approx_drop.
-    When vc < d, bc < d and every component is small, so the DP says inf
-    after work bounded by the cover numbers, however large d is."""
+    When vc < d the cascade answers inf after one cover search bounded by
+    d - 1, however large d is."""
     if d < 1:
         raise ValueError("drop must be positive")
     count = _cascade(g, 2 * d if approx else 2 * d - 1, d, paper_convention)[0]

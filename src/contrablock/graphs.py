@@ -370,7 +370,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """Induced subgraph on ``vertices``; returns (subgraph, new-to-old map)."""
     old = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(old)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
+    edges = [(i, pos[w]) for i, v in enumerate(old) for w in g.adj[v] if v < w and w in pos]
     return Graph.from_edges(len(old), edges), old
 
 

@@ -318,44 +318,38 @@ def _split_solve(parts, lbs: list[int], cap: int, solve) -> tuple[int, frozenset
 # ``occurrence`` below is ``_family_occurrence`` bound to one host graph and
 # family and cached per vertex set, so one ``min_transversal`` call searches
 # each vertex set at most once.  ``memo`` maps a component to ("exact", size,
-# picks) or ("lb", lower bound).
+# picks) or ("lb", lower bound).  Each pick recurses once, on what is left.
 
 
-def _hit_component(g, occurrence, comp: frozenset[int], cap: int, memo) -> tuple[int, frozenset[int]] | None:
-    entry = memo.get(comp)
+def _hit_solve(g, occurrence, alive: frozenset[int], cap: int, memo) -> tuple[int, frozenset[int]] | None:
+    entry = memo.get(alive)
     if entry is not None and entry[0] == "exact":
         return (entry[1], entry[2]) if entry[1] <= cap else None
     if cap < 0:
         return None
-    occ = occurrence(comp)
+    comps = _alive_components(g, alive)
+    if len(comps) != 1:
+        lbs = [memo[c][1] if c in memo else int(occurrence(c) is not None) for c in comps]
+        return _split_solve(comps, lbs, cap, lambda comp, share: _hit_solve(g, occurrence, comp, share, memo))
+    occ = occurrence(alive)
     if occ is None:
-        memo[comp] = ("exact", 0, frozenset())
+        memo[alive] = ("exact", 0, frozenset())
         return 0, frozenset()
     if entry is None:
-        entry = memo[comp] = ("lb", _packing_lb(occurrence, comp, cap + 1))
+        entry = memo[alive] = ("lb", _packing_lb(occurrence, alive, cap + 1))
     if entry[1] > cap:
         return None
     best: tuple[int, frozenset[int]] | None = None
     for v in occ.vertices:
         allowance = (best[0] - 2) if best is not None else (cap - 1)
-        sub = _hit_solve(g, occurrence, comp - {v}, allowance, memo)
+        sub = _hit_solve(g, occurrence, alive - {v}, allowance, memo)
         if sub is not None:
             best = (sub[0] + 1, sub[1] | {v})
     if best is None:
-        memo[comp] = ("lb", cap + 1)
+        memo[alive] = ("lb", cap + 1)
         return None
-    memo[comp] = ("exact", best[0], best[1])
+    memo[alive] = ("exact", best[0], best[1])
     return best
-
-
-def _hit_solve(g, occurrence, alive: frozenset[int], cap: int, memo) -> tuple[int, frozenset[int]] | None:
-    if cap < 0:
-        return None
-    comps = _alive_components(g, alive)
-    if len(comps) == 1:
-        return _hit_component(g, occurrence, comps[0], cap, memo)
-    lbs = [memo[c][1] if c in memo else int(occurrence(c) is not None) for c in comps]
-    return _split_solve(comps, lbs, cap, lambda comp, share: _hit_component(g, occurrence, comp, share, memo))
 
 
 def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bfs, bipartition, contract_edge
+from .graphs import Graph, bfs, bipartition, components, contract_edge
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,21 @@ def _min_cover(adj: dict[int, set[int]], cap: int) -> set[int] | None:
 
 
 def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResult | None:
-    """Minimum vertex cover by branching; None iff a budget is given and vc(g)
-    exceeds it.  ``allowed`` restricts the graph to an induced vertex subset."""
+    """Minimum vertex cover by branching, one component at a time; None iff a
+    budget is given and vc(g) exceeds it.  ``allowed`` restricts the graph to
+    an induced vertex subset."""
     if budget is not None and budget < 0:
         return None
     alive = set(range(g.n) if allowed is None else allowed)
     adj = {v: set(ns) for v in alive if (ns := g.adj[v] & alive)}
-    sol = _min_cover(adj, len(alive) if budget is None else budget)
-    return None if sol is None else CoverResult(len(sol), frozenset(sol))
+    cap = len(alive) if budget is None else budget
+    sol: set[int] = set()
+    for comp in components(adj, adj):  # each within the budget the others left
+        part = _min_cover({v: adj[v] for v in comp}, cap - len(sol))
+        if part is None:
+            return None
+        sol |= part
+    return CoverResult(len(sol), frozenset(sol))
 
 
 def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:
@@ -161,12 +168,13 @@ def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
 
 def _modulator_splits(g: Graph, modulator, budget: int | None = None):
     """Each feasible split of a bipartite modulator, in mask order, as
-    (taken, remaining, left): ``taken`` is the cover part fixed by the split
+    (size, taken, remaining): ``taken`` is the cover part fixed by the split
     (the modulator vertices inside plus the neighbours the others force in),
-    ``remaining`` the bipartite vertex set still to cover and ``left`` one
-    side of it.  Splits whose ``taken`` exceeds ``budget`` are skipped.
-    ``g - modulator`` is coloured once, and an invalid modulator raises
-    ValueError on the first step."""
+    ``remaining`` the bipartite vertex set still to cover and ``size`` the
+    split's minimum cover, ``len(taken)`` plus a maximum matching of
+    ``remaining`` (König).  Splits whose ``taken`` exceeds ``budget`` are
+    skipped unsized.  ``g - modulator`` is coloured once, and an invalid
+    modulator raises ValueError on the first step."""
     b = sorted(set(modulator))
     for v in b:
         if not 0 <= v < g.n:
@@ -189,33 +197,27 @@ def _modulator_splits(g: Graph, modulator, budget: int | None = None):
             continue
         taken = inside | forced
         if budget is None or len(taken) <= budget:
-            yield taken, rest - forced, [v for v in sides[0] if v not in forced]
+            remaining = rest - forced
+            left = [v for v in sides[0] if v not in forced]
+            yield len(taken) + len(maximum_matching(g, left, remaining)) // 2, taken, remaining
 
 
 def vc_with_modulator(g: Graph, modulator) -> CoverResult:
     """Minimum vertex cover when deleting ``modulator`` leaves a bipartite
     graph: try every split of the modulator into cover / non-cover vertices;
     non-cover vertices force their whole neighborhood into the cover, and the
-    bipartite remainder is solved exactly."""
-    best: CoverResult | None = None
-    for taken, remaining, _ in _modulator_splits(g, modulator):
-        cover = taken | vc_bipartite(g, remaining).cover
-        if best is None or len(cover) < best.size:
-            best = CoverResult(len(cover), frozenset(cover))
+    first smallest split's bipartite remainder is solved exactly."""
+    best = min(_modulator_splits(g, modulator), key=lambda split: split[0], default=None)
     if best is None:
         raise RuntimeError("the mask with every modulator vertex inside always works")
-    return best
+    cover = best[1] | vc_bipartite(g, best[2]).cover
+    return CoverResult(len(cover), frozenset(cover))
 
 
 def vc_with_modulator_fits(g: Graph, modulator, budget: int) -> bool:
     """Whether ``vc_with_modulator(g, modulator).size <= budget``, decided
-    without building a cover: each split costs its fixed part plus a maximum
-    matching of the bipartite remainder (König), and the first split that
-    fits answers."""
-    for taken, remaining, left in _modulator_splits(g, modulator, budget):
-        if len(taken) + len(maximum_matching(g, left, remaining)) // 2 <= budget:
-            return True
-    return False
+    without building a cover: the first split whose size fits answers."""
+    return any(size <= budget for size, _, _ in _modulator_splits(g, modulator, budget))
 
 
 def vc_after_contraction(g: Graph, e) -> int:

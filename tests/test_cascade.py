@@ -291,8 +291,9 @@ def test_dp_with_witness_matches_reference():
 
 @pytest.mark.parametrize("paper_convention", [False, True])
 def test_drop_far_above_the_cover_number_is_cheap(paper_convention, monkeypatch):
-    # vc(C5 + C5) = 6 < d: the DP asks each component for shares up to the
-    # first infinite one only, not for all d + 1 of them
+    # vc(C5 + C5) = 6 < d: the cascade answers before the DP, and the DP
+    # itself asks each component for shares up to the first infinite one
+    # only, not for all d + 1 of them
     asked = Counter()
     real = contraction_vc._component_opt
     monkeypatch.setattr(contraction_vc, "_component_opt", lambda c, q, pc: asked.update([q]) or real(c, q, pc))
@@ -300,11 +301,27 @@ def test_drop_far_above_the_cover_number_is_cheap(paper_convention, monkeypatch)
     d = 10**5
     assert min_contract_vc(g, d, paper_convention) is None
     assert min_contract_2approx(g, d, paper_convention) is None
-    runs = 2
     if not paper_convention:
         assert algorithm1(g, d, d) == Decision(False, None, "small-components")
-        runs += 1
+    assert not asked, asked
+    assert math.isinf(dp_min_contract(g, d, paper_convention))
     # C5's optimum is finite up to q = 3 (2 under the paper's convention),
-    # and each run asks both components up to the first infinite share
+    # and the DP asks both components up to the first infinite share
     last = 3 if paper_convention else 4
-    assert asked == Counter({q: 2 * runs for q in range(last + 1)}), asked
+    assert asked == Counter({q: 2 for q in range(last + 1)}), asked
+
+
+@pytest.mark.parametrize("d", [21, 10**5])
+def test_drop_above_the_cover_number_skips_the_bc_search(d, monkeypatch):
+    # vc = 20 on this G(30, 0.3), and bc_decide would walk every edge set up
+    # to bc(g) edges; vc < d already says no drop of d exists
+    def refuse(*args):
+        raise AssertionError("bc_decide called")
+
+    monkeypatch.setattr(contraction_vc, "bc_decide", refuse)
+    g = random_graph(random.Random(5), 30, 0.3)
+    assert (g.m, vc_branching(g).size) == (127, 20)
+    assert algorithm1(g, d, d) == Decision(False, None, "small-components")
+    for paper_convention in (False, True):
+        assert min_contract_vc(g, d, paper_convention) is None
+        assert min_contract_2approx(g, d, paper_convention) is None

@@ -9,7 +9,7 @@ import pytest
 import contrablock
 from contrablock import contraction_vc
 from contrablock.cli import main
-from contrablock.graphs import serialize_graph
+from contrablock.graphs import Graph, serialize_graph
 
 from .conftest import grid_graph, random_graph
 
@@ -120,17 +120,22 @@ class TestVcAndTau:
 
     def test_recursion_limit_exits_as_budget_exceeded(self, tmp_path):
         # the exact hitting solver recurses once per picked vertex, and P500
-        # needs 250 picks; a fresh interpreter keeps the default recursion limit
+        # needs 250 picks: within the default recursion limit, but past a
+        # limit of 300 frames set before `main` runs
         path = tmp_path / "p500.gr"
         path.write_text("500 499\n" + "".join(f"{i} {i + 1}\n" for i in range(499)))
         k2 = tmp_path / "k2.gr"
         k2.write_text("2 1\n0 1\n")
         src = str(Path(contrablock.__file__).resolve().parents[1])
         argv = ["tau", str(path), "--family", f"pattern:{k2}"]
-        proc = subprocess.run([sys.executable, "-m", "contrablock.cli", *argv],
-                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys; from contrablock import cli; sys.setrecursionlimit(300); sys.exit(cli.main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr.count("\n")) == (3, "", 1), proc.stderr
         assert proc.stderr.startswith("budget exceeded: ") and "Traceback" not in proc.stderr
+        proc = subprocess.run([sys.executable, "-m", "contrablock.cli", *argv], env=env, capture_output=True, text=True)
+        evens = " ".join(map(str, range(0, 500, 2)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"250\n{evens}\n", "")
 
     def test_tau_fvs_on_tree(self, files, capsys):
         code, out = run(capsys, ["tau", files["tree.gr"], "--family", "fvs"])
@@ -447,3 +452,40 @@ def test_stdout_is_independent_of_hash_seed(tmp_path):
                                   env=env, capture_output=True, check=True)
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0], argv
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory):
+    """A 20,000-edge matching, 40 disjoint copies of K4, a G(30, 0.3) with
+    cover number 20, P500 and K2, written once for the smoke test below."""
+    k4s = Graph.from_edges(160, [(4 * i + a, 4 * i + b) for i in range(40) for a in range(4) for b in range(a + 1, 4)])
+    texts = {
+        "matching.gr": "40000 20000\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(20000)),
+        "k4s.gr": serialize_graph(k4s),
+        "g5.gr": serialize_graph(random_graph(random.Random(5), 30, 0.3)),
+        "p500.gr": "500 499\n" + "".join(f"{i} {i + 1}\n" for i in range(499)),
+        "k2.gr": "2 1\n0 1\n",
+    }
+    path = tmp_path_factory.mktemp("large")
+    for name, text in texts.items():
+        (path / name).write_text(text)
+    return path
+
+
+LARGE_INPUT_COMMANDS = [
+    (["contract-vc", "matching.gr", "-k", "2", "-d", "1"], "YES"),
+    (["min-contract-vc", "matching.gr", "-d", "1"], "1"),
+    (["vc", "k4s.gr"], "120"),
+    (["contract-vc", "g5.gr", "-k", "21", "-d", "21"], "NO"),  # vc = 20 < d
+    (["min-contract-vc", "g5.gr", "-d", "21"], "INFEASIBLE"),
+    (["min-contract-vc", "g5.gr", "-d", "21", "--approx"], "INFEASIBLE"),
+    (["tau", "p500.gr", "--family", "pattern:k2.gr"], "250"),
+]
+
+
+@pytest.mark.parametrize("argv, first", LARGE_INPUT_COMMANDS, ids=[" ".join(argv) for argv, _ in LARGE_INPUT_COMMANDS])
+def test_large_inputs_answer_within_seconds(large_files, argv, first):
+    src = str(Path(contrablock.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "contrablock.cli", *argv], cwd=large_files,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout.split("\n", 1)[0]) == (0, first), proc.stderr

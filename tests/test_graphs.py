@@ -13,6 +13,7 @@ from contrablock.graphs import (
     contract_edge,
     contract_set,
     cycle_graph,
+    induced_subgraph,
     parse_graph,
     path_graph,
     serialize_graph,
@@ -167,3 +168,16 @@ class TestStructureQueries:
 
     def test_subdivide_k4(self):
         assert subdivide_edges(complete_graph(4)).n == 10
+
+
+def test_induced_subgraph_matches_an_edge_scan():
+    # the subgraph is read off the chosen vertices' neighbours; scanning
+    # every edge of the host gives the same graph
+    rng = random.Random(41)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 15), rng.choice([0.1, 0.3, 0.6]))
+        vertices = [v for v in range(g.n) if rng.random() < rng.choice([0.3, 0.7, 1.0])]
+        old = sorted(set(vertices))
+        pos = {v: i for i, v in enumerate(old)}
+        scanned = Graph.from_edges(len(old), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
+        assert induced_subgraph(g, vertices) == (scanned, old), (g, vertices)

@@ -6,6 +6,7 @@ from contrablock import vertex_cover
 from contrablock.graphs import (
     Graph,
     complete_graph,
+    connected_components,
     contract_edge,
     cycle_graph,
     path_graph,
@@ -146,6 +147,25 @@ class TestBranching:
                 assert vc_branching(g, budget) == want, (g, budget)
                 nones += want is None
         assert nones == 2 * len(corpus)  # budgets -1 and vc - 1
+
+    def test_components_solved_apart_match_the_whole_search(self):
+        """Each component searched on its own, within the budget the earlier
+        ones left, gives the cover the search over the whole graph gives,
+        also on induced vertex subsets."""
+        rng = random.Random(1700)
+        seen = {"split": 0, "none": 0}
+        for _ in range(300):
+            g = Graph.from_edges(0, [])
+            for _ in range(rng.randint(2, 4)):
+                g = disjoint_union(g, random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.5, 0.8])))
+            allowed = None if rng.random() < 0.5 else [v for v in range(g.n) if rng.random() < 0.8]
+            vc = _reference_vc_branching(g, allowed=allowed).size
+            for budget in (None, vc - 1, vc, vc + 1):
+                want = _reference_vc_branching(g, budget, allowed)
+                assert vc_branching(g, budget, allowed) == want, (g, budget, allowed)
+                seen["none"] += want is None
+            seen["split"] += len(connected_components(g)) > 1
+        assert seen["split"] >= 250 and seen["none"] >= 250, seen
 
 
 class TestBipartite:
