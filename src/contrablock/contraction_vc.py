@@ -288,9 +288,8 @@ def _cascade(g: Graph, k: int, d: int, paper_convention: bool):
     """(count, witness, trace) of the cascade for k >= d >= 1: d when bc >= d,
     the component DP when every component has cover <= d, the size of
     two_approx_drop when k >= 2d (Lemma 3), and otherwise the size of the
-    first set the enumeration finds at k, or k + 1 when it finds none.  When
-    vc < d no drop of d exists, and every component is small, so the DP's
-    inf is answered before any search that grows with d."""
+    first set the enumeration finds at k, or k + 1 when it finds none; inf
+    when vc < d, before any search that grows with d."""
     if vc_branching(g, d - 1) is not None:
         return math.inf, None, "small-components"
     low_bc_witness = bc_decide(g, d - 1)

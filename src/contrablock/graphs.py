@@ -369,6 +369,8 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """Induced subgraph on ``vertices``; returns (subgraph, new-to-old map)."""
     old = sorted(set(vertices))
+    if old and not 0 <= old[0] <= old[-1] < g.n:
+        raise ValueError("vertex out of range")
     pos = {v: i for i, v in enumerate(old)}
     edges = [(i, pos[w]) for i, v in enumerate(old) for w in g.adj[v] if v < w and w in pos]
     return Graph.from_edges(len(old), edges), old

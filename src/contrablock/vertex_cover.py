@@ -85,9 +85,8 @@ def _min_cover(adj: dict[int, set[int]], cap: int) -> set[int] | None:
 
 
 def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResult | None:
-    """Minimum vertex cover by branching, one component at a time; None iff a
-    budget is given and vc(g) exceeds it.  ``allowed`` restricts the graph to
-    an induced vertex subset."""
+    """Minimum vertex cover by branching; None iff a budget is given and vc(g)
+    exceeds it.  ``allowed`` restricts the graph to an induced vertex subset."""
     if budget is not None and budget < 0:
         return None
     alive = set(range(g.n) if allowed is None else allowed)

@@ -181,3 +181,7 @@ def test_induced_subgraph_matches_an_edge_scan():
         pos = {v: i for i, v in enumerate(old)}
         scanned = Graph.from_edges(len(old), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
         assert induced_subgraph(g, vertices) == (scanned, old), (g, vertices)
+    # a vertex outside 0..n-1 has no neighbour set to read
+    for bad in ([-1, 0], [0, 3]):
+        with pytest.raises(ValueError, match="vertex out of range"):
+            induced_subgraph(path_graph(3), bad)
