@@ -70,7 +70,7 @@ def _cmd_vc(args) -> int:
     g = _load_graph(args.graph)
     if args.modulator is not None:
         try:
-            mod = [int(t) for t in args.modulator.split(",") if t]
+            mod = [int(t) for t in args.modulator.split(",")] if args.modulator else []
         except ValueError:
             raise InputError(f"bad modulator {args.modulator!r}, expected V,V,...") from None
         res = vertex_cover.vc_with_modulator(g, mod)
@@ -127,11 +127,9 @@ def _cmd_min_contract_vc(args) -> int:
     if args.brute:
         cap = args.cap if args.cap is not None else g.m
         res = contraction_vc.brute_min_contract(g, args.d, cap, args.paper_convention)
-        if res is None:
+        if res is None and cap < g.m:  # a cap of every edge leaves nothing untried
             raise BudgetExceeded(f"no set of at most {cap} edges achieves the drop")
-        print(res)
-        return EXIT_OK
-    if args.approx:
+    elif args.approx:
         res = contraction_vc.min_contract_2approx(g, args.d, args.paper_convention)
     else:
         res = contraction_vc.min_contract_vc(g, args.d, args.paper_convention)

@@ -169,6 +169,22 @@ def _matching_exceeds(edges, cls, budget: int) -> bool:
     return False
 
 
+def _first_drop(g: Graph, sizes, target: int, fits) -> tuple[Edge, ...] | None:
+    """The first edge set, by size from ``sizes`` and then in sorted order,
+    whose contraction ``res`` has ``fits(f, res)``, or None.
+
+    Only acyclic sets are walked (``forest_sets``): a set with an edge that
+    closes a cycle has the quotient of a smaller set, which either was tried
+    already or is too small.  A set whose quotient has a matching larger
+    than ``target`` is refused before its quotient is built."""
+    edges = g.sorted_edges()
+    for size in sizes:
+        for f, cls in forest_sets(g, size):
+            if not _matching_exceeds(edges, cls, target) and fits(f, contract_set(g, f)):
+                return f
+    return None
+
+
 def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
     """(minimum contraction count, witness) for dropping the cover of one
     connected component by d_prime; (inf, None) when unattainable."""
@@ -187,14 +203,10 @@ def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
         tree = [(min(p, v), max(p, v)) for v, p in bfs(c.adj, [0]).items() if p != -1]
         return len(tree), tuple(tree)
     target = vc_c - d_prime
-    cap = min(2 * d_prime, c.m)
-    edges = c.sorted_edges()
-    for size in range(d_prime, cap + 1):  # each contraction drops the cover by <= 1
-        for f, cls in forest_sets(c, size):
-            if _matching_exceeds(edges, cls, target):
-                continue
-            if vc_branching(contract_set(c, f).quotient, budget=target) is not None:
-                return size, f
+    sizes = range(d_prime, min(2 * d_prime, c.m) + 1)  # each contraction drops the cover by <= 1
+    f = _first_drop(c, sizes, target, lambda _, res: vc_branching(res.quotient, budget=target) is not None)
+    if f is not None:
+        return len(f), f
     raise RuntimeError("a drop of d' needs at most 2d' contractions when vc > d'")
 
 
@@ -264,24 +276,15 @@ def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | N
     order, whose contraction drops the cover number by d, or None.  Every
     cover question goes through the modulator built from the bc witness
     plus merged classes; each quotient only asks whether its cover fits
-    the target.
-
-    Only acyclic sets are walked (``forest_sets``): a set with an edge that
-    closes a cycle has the quotient of a smaller set, which either was tried
-    already or is too small.  A set whose quotient has a matching larger
-    than the target is refused before its quotient is built."""
+    the target."""
     anchors = sorted({v for e in low_bc_witness for v in e})
     target = vc_with_modulator(g, anchors).size - d
-    all_edges = g.sorted_edges()
-    for size in range(d, k + 1):  # each contraction drops the cover by <= 1
-        for f, cls in forest_sets(g, size):
-            if _matching_exceeds(all_edges, cls, target):
-                continue
-            res = contract_set(g, f)
-            modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
-            if vc_with_modulator_fits(res.quotient, modulator, target):
-                return f
-    return None
+
+    def fits(f, res):
+        modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
+        return vc_with_modulator_fits(res.quotient, modulator, target)
+
+    return _first_drop(g, range(d, k + 1), target, fits)  # each contraction drops the cover by <= 1
 
 
 def _cascade(g: Graph, k: int, d: int, paper_convention: bool):

@@ -264,6 +264,24 @@ def shallowest(root, goal, children, hi: int):
     return None
 
 
+def split_solve(parts, lbs, cap: int, solve) -> frozenset[int] | None:
+    """Solve disjoint parts in order, each within the cap left over after
+    the lower bounds of the parts still to come; ``solve(part, share)``
+    returns a set of at most ``share`` picks, or None.  The union of the
+    parts' sets, which stays within ``cap``, or None when a part fails."""
+    rest = sum(lbs)
+    if rest > cap:
+        return None
+    picks: frozenset[int] = frozenset()
+    for part, lb in zip(parts, lbs):
+        rest -= lb
+        got = solve(part, cap - len(picks) - rest)
+        if got is None:
+            return None
+        picks |= got
+    return picks
+
+
 def components(adj, verts) -> list[list[int]]:
     """Components of the subgraph induced by ``verts``, as sorted vertex
     lists ordered by their minimum vertex.  The search is an unsorted

@@ -25,6 +25,7 @@ from .graphs import (
     is_connected,
     shallowest,
     shortest_odd_cycle,
+    split_solve,
     tree_cycle,
 )
 from .vertex_cover import vc_branching
@@ -295,60 +296,40 @@ def _packing_lb(occurrence, alive: frozenset[int], stop_at: int) -> int:
     return count
 
 
-def _split_solve(parts, lbs: list[int], cap: int, solve) -> tuple[int, frozenset[int]] | None:
-    """Solve independent parts in order, each within the cap left over after
-    the lower bounds of the parts still to come; ``solve(part, share)``
-    returns (size, picks) with size <= share, or None.  The sizes add up, so
-    the total stays within ``cap``."""
-    rest = sum(lbs)
-    if rest > cap:
-        return None
-    total = 0
-    picks: set[int] = set()
-    for part, lb in zip(parts, lbs):
-        rest -= lb
-        res = solve(part, cap - total - rest)
-        if res is None:
-            return None
-        total += res[0]
-        picks |= res[1]
-    return total, frozenset(picks)
-
-
 # ``occurrence`` below is ``_family_occurrence`` bound to one host graph and
 # family and cached per vertex set, so one ``min_transversal`` call searches
 # each vertex set at most once.  ``memo`` maps a component to ("exact", size,
 # picks) or ("lb", lower bound).  Each pick recurses once, on what is left.
 
 
-def _hit_solve(g, occurrence, alive: frozenset[int], cap: int, memo) -> tuple[int, frozenset[int]] | None:
+def _hit_solve(g, occurrence, alive: frozenset[int], cap: int, memo) -> frozenset[int] | None:
     entry = memo.get(alive)
     if entry is not None and entry[0] == "exact":
-        return (entry[1], entry[2]) if entry[1] <= cap else None
+        return entry[2] if entry[1] <= cap else None
     if cap < 0:
         return None
     comps = _alive_components(g, alive)
     if len(comps) != 1:
         lbs = [memo[c][1] if c in memo else int(occurrence(c) is not None) for c in comps]
-        return _split_solve(comps, lbs, cap, lambda comp, share: _hit_solve(g, occurrence, comp, share, memo))
+        return split_solve(comps, lbs, cap, lambda comp, share: _hit_solve(g, occurrence, comp, share, memo))
     occ = occurrence(alive)
     if occ is None:
         memo[alive] = ("exact", 0, frozenset())
-        return 0, frozenset()
+        return frozenset()
     if entry is None:
         entry = memo[alive] = ("lb", _packing_lb(occurrence, alive, cap + 1))
     if entry[1] > cap:
         return None
-    best: tuple[int, frozenset[int]] | None = None
+    best: frozenset[int] | None = None
     for v in occ.vertices:
-        allowance = (best[0] - 2) if best is not None else (cap - 1)
+        allowance = (len(best) - 2) if best is not None else (cap - 1)
         sub = _hit_solve(g, occurrence, alive - {v}, allowance, memo)
         if sub is not None:
-            best = (sub[0] + 1, sub[1] | {v})
+            best = sub | {v}
     if best is None:
         memo[alive] = ("lb", cap + 1)
         return None
-    memo[alive] = ("exact", best[0], best[1])
+    memo[alive] = ("exact", len(best), best)
     return best
 
 
@@ -366,13 +347,12 @@ def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
     cap = g.n if budget is None else min(budget, g.n)
     occurrence = functools.cache(lambda alive: _family_occurrence(g, fam, alive))
     everything = frozenset(range(g.n))
-    res = _hit_solve(g, occurrence, everything, cap, {})
-    if res is None:
+    picks = _hit_solve(g, occurrence, everything, cap, {})
+    if picks is None:
         return None
-    size, picks = res
     if occurrence(everything - picks) is not None:
         raise RuntimeError("transversal leaves a pattern occurrence")
-    return size, frozenset(picks)
+    return len(picks), picks
 
 
 # -- dedicated feedback vertex set solver ------------------------------------
@@ -503,11 +483,11 @@ def _mg_packing_lb(adj) -> int:
         count += 1
 
 
-def _fvs_solve(adj, forbidden: frozenset[int], cap: int) -> tuple[int, set[int]] | None:
+def _fvs_solve(adj, forbidden: frozenset[int], cap: int) -> set[int] | None:
     """Minimum feedback vertex set of the multigraph avoiding ``forbidden``,
-    if it has at most ``cap`` vertices; (size, set), or None.  Consumes
-    ``adj``: every caller passes a multigraph, or a component of one, that
-    it does not use again."""
+    if it has at most ``cap`` vertices, or None.  Consumes ``adj``: every
+    caller passes a multigraph, or a component of one, that it does not use
+    again."""
     if cap < 0:
         return None
     forced = _mg_reduce(adj, forbidden)
@@ -517,7 +497,7 @@ def _fvs_solve(adj, forbidden: frozenset[int], cap: int) -> tuple[int, set[int]]
     comps = _mg_components(adj)
     if len(comps) != 1:
         lbs = [_mg_packing_lb(c) for c in comps]
-        res = _split_solve(comps, lbs, rem, lambda comp, share: _fvs_solve(comp, forbidden, share))
+        res = split_solve(comps, lbs, rem, lambda comp, share: _fvs_solve(comp, forbidden, share))
     elif _mg_packing_lb(adj) > rem:
         return None
     else:
@@ -537,19 +517,19 @@ def _fvs_solve(adj, forbidden: frozenset[int], cap: int) -> tuple[int, set[int]]
         res = None
         for i, (v, delete) in enumerate(options):
             child = adj if i == len(options) - 1 else _mg_copy(adj)
-            limit = rem if res is None else res[0] - 1
+            limit = rem if res is None else len(res) - 1
             if delete:
                 _mg_delete(child, v)
                 sub = _fvs_solve(child, forbidden, limit - 1)
                 if sub is not None:
-                    res = (sub[0] + 1, sub[1] | {v})
+                    res = sub | {v}
             else:
                 sub = _fvs_solve(child, forbidden | {v}, limit)
                 if sub is not None:
                     res = sub
     if res is None:
         return None
-    return len(forced) + res[0], forced | res[1]
+    return forced | res
 
 
 def feedback_vertex_set(g: Graph, budget: int | None = None):
@@ -557,9 +537,7 @@ def feedback_vertex_set(g: Graph, budget: int | None = None):
     budget is given and the optimum exceeds it."""
     cap = g.n if budget is None else min(budget, g.n)
     res = _fvs_solve(_mg_from_graph(g), frozenset(), cap)
-    if res is None:
-        return None
-    return res[0], frozenset(res[1])
+    return None if res is None else (len(res), frozenset(res))
 
 
 def odd_cycle_transversal(g: Graph, budget: int | None = None):

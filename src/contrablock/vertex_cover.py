@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bfs, bipartition, components, contract_edge
+from .graphs import Graph, bfs, bipartition, components, contract_edge, split_solve
 
 
 @dataclass(frozen=True)
@@ -92,13 +92,10 @@ def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResu
     alive = set(range(g.n) if allowed is None else allowed)
     adj = {v: set(ns) for v in alive if (ns := g.adj[v] & alive)}
     cap = len(alive) if budget is None else budget
-    sol: set[int] = set()
-    for comp in components(adj, adj):  # each within the budget the others left
-        part = _min_cover({v: adj[v] for v in comp}, cap - len(sol))
-        if part is None:
-            return None
-        sol |= part
-    return CoverResult(len(sol), frozenset(sol))
+    comps = components(adj, adj)  # each has an edge, so a cover of at least 1
+    sol = split_solve(comps, [1] * len(comps), cap,
+                      lambda comp, share: _min_cover({v: adj[v] for v in comp}, share))
+    return None if sol is None else CoverResult(len(sol), sol)
 
 
 def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:

@@ -97,6 +97,10 @@ class TestVcAndTau:
         code, out = run(capsys, ["vc", files["c5.gr"], "--modulator", "0"])
         assert code == 0 and out.splitlines()[0] == "3"
 
+    def test_vc_empty_modulator(self, files, capsys):
+        code, out = run(capsys, ["vc", files["p4.gr"], "--modulator", ""])
+        assert code == 0 and out == "2\n0 2\n"
+
     def test_long_path_has_no_recursion_limit(self, tmp_path, capsys):
         # augmenting paths on P2000 are far longer than the interpreter's recursion limit
         path = tmp_path / "p2000.gr"
@@ -204,6 +208,20 @@ class TestMinContract:
     def test_brute_with_cap(self, files, capsys):
         code = main(["min-contract-vc", files["c4.gr"], "-d", "1", "--brute", "--cap", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize("text, flags", [
+        (P4, ["-d", "3"]),
+        (P4, ["-d", "3", "--cap", "3"]),
+        (P4, ["-d", "3", "--cap", "99"]),
+        ("1 0\n", ["-d", "1"]),
+        ("4 3\n0 1\n0 2\n0 3\n", ["-d", "1", "--paper-convention"]),  # star
+    ])
+    def test_brute_unreachable_drop_is_infeasible(self, tmp_path, capsys, text, flags):
+        # a cap of every edge leaves no set untried, so no set reaches the drop
+        path = tmp_path / "g.gr"
+        path.write_text(text)
+        code, out = run(capsys, ["min-contract-vc", str(path), "--brute", *flags])
+        assert code == 0 and out == "INFEASIBLE\n"
 
     def test_infeasible(self, files, capsys):
         code, out = run(capsys, ["min-contract-vc", files["tree.gr"], "-d", "3"])
@@ -402,6 +420,10 @@ class TestValueErrorsExitTwo:
 
     def test_bad_modulator_names_the_flag(self, files, capsys):
         self.check(capsys, ["vc", files["c5.gr"], "--modulator", "0,x"], "bad modulator '0,x', expected V,V,...")
+
+    @pytest.mark.parametrize("spec", ["1,,2", ",,", "0,"])
+    def test_empty_modulator_entry(self, files, capsys, spec):
+        self.check(capsys, ["vc", files["c5.gr"], "--modulator", spec], f"bad modulator {spec!r}, expected V,V,...")
 
 
 BYTE_IDENTITY_GRAPHS = {

@@ -435,7 +435,7 @@ class TestFeedbackVertexSetMatchesReference:
             for cap in (g.n, 2):
                 got = tr._fvs_solve(tr._mg_from_graph(g), forbidden, cap)
                 want = _reference_fvs_solve(tr._mg_from_graph(g), forbidden, cap)
-                assert got == want, (g.edges, forbidden, cap)
+                assert ((len(got), got) if got is not None else None) == want, (g.edges, forbidden, cap)
                 infeasible += got is None
         assert infeasible >= 50
 

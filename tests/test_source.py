@@ -161,3 +161,50 @@ def test_no_mutual_recursion():
     assert not found - allowed, f"recursive call cycles: {sorted(map(sorted, found - allowed))}"
     stale = allowed - found
     assert not stale, f"allowed recursion no longer present: {sorted(map(sorted, stale))}"
+
+
+
+def _defined_names(node) -> list[str]:
+    """The names a module-level statement binds by definition or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.AnnAssign):
+        return [node.target.id] if isinstance(node.target, ast.Name) else []
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _mentions(node) -> set[str]:
+    """The names read, attributes accessed and names imported below ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_no_orphaned_private_helpers():
+    # a module-level ``_name`` that no other code in the library mentions is
+    # dead: a helper left behind when its last caller was folded away
+    tops = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tops += [(path, node, _mentions(node)) for node in tree.body]
+    private = [
+        (path, node, name)
+        for path, node, _ in tops
+        for name in _defined_names(node)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert len(private) >= 20
+    orphans = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno} {name}"
+        for path, node, name in private
+        if not any(name in seen for _, other, seen in tops if other is not node)
+    ]
+    assert not orphans, "private helpers nothing else uses: " + ", ".join(orphans)

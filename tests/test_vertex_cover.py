@@ -167,6 +167,20 @@ class TestBranching:
             seen["split"] += len(connected_components(g)) > 1
         assert seen["split"] >= 250 and seen["none"] >= 250, seen
 
+    def test_split_refuses_a_budget_below_one_per_component(self, monkeypatch):
+        """Every component left to cover has an edge, so it needs a cover
+        vertex; a budget below the component count is refused before any
+        component is searched."""
+        calls = []
+        real = vertex_cover._min_cover
+        monkeypatch.setattr(vertex_cover, "_min_cover", lambda adj, cap: calls.append(cap) or real(adj, cap))
+        g = Graph.from_edges(0, [])
+        for _ in range(40):
+            g = disjoint_union(g, complete_graph(4))
+        assert vc_branching(g, budget=39) is None
+        assert calls == []
+        assert vc_branching(g, budget=120).size == 120
+
 
 class TestBipartite:
     def test_examples(self):
