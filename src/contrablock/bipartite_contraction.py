@@ -25,7 +25,7 @@ def _check_coloring(g: Graph, phi) -> Coloring:
 def monochromatic_components(g: Graph, phi) -> list[list[int]]:
     """Maximal connected same-color vertex sets; a partition of V."""
     phi = _check_coloring(g, phi)
-    classes = ([v for v in g.vertices() if phi[v] == c] for c in (1, 2))
+    classes = ([v for v in range(g.n) if phi[v] == c] for c in (1, 2))
     # the parts are disjoint, so sorting by first entry orders them by minimum
     return sorted(comp for cls in classes for comp in components(g.adj, cls))
 
@@ -41,7 +41,7 @@ def coloring_to_contraction(g: Graph, phi) -> list[Edge]:
     phi = _check_coloring(g, phi)
     edges: list[Edge] = []
     for c in (1, 2):
-        cls = [v for v in g.vertices() if phi[v] == c]
+        cls = [v for v in range(g.n) if phi[v] == c]
         tree = bfs(g.adj, cls, set(cls))
         edges.extend((min(p, v), max(p, v)) for v, p in tree.items() if p != -1)
     return sorted(edges)

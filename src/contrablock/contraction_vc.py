@@ -126,11 +126,7 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
     chosen: list[Edge] = []
     while initial - before.size < d:  # a two-edge round may overshoot by one
         cover = before.cover
-        picks: list[Edge] | None = None
-        for e in q.sorted_edges():
-            if e[0] in cover and e[1] in cover:
-                picks = [e]
-                break
+        picks = next(([(u, w)] for u in sorted(cover) for w in sorted(q.adj[u] & cover) if u < w), None)
         if picks is None:
             for w in sorted(alive):
                 if w in cover:

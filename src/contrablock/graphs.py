@@ -1,14 +1,15 @@
 """Simple undirected graphs, edge contraction, and basic structure queries.
 
-Vertices are the integers 0..n-1.  Edges are unordered pairs stored as
-(min, max) tuples.  All values are immutable after construction, so they can
-be shared freely between threads.
+Vertices are the integers 0..n-1.  A ``Graph`` is ``n`` plus one neighbour set
+per vertex; its edges, (min, max) tuples, are derived on first read and cached.
+Graphs are immutable, so threads may share them (racing first reads agree).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 Edge = tuple[int, int]
 
@@ -29,10 +30,10 @@ def _norm(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Loopless simple graph with per-vertex neighbor sets."""
+    """Loopless simple graph given by its neighbour sets.  The constructor
+    trusts ``adj``; code outside this module builds through ``from_edges``."""
 
     n: int
-    edges: frozenset[Edge]
     adj: tuple[frozenset[int], ...]
 
     @staticmethod
@@ -40,19 +41,20 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         nbrs: list[set[int]] = [set() for _ in range(n)]
-        norm: set[Edge] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex out of range in edge ({u}, {v})")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            e = _norm(u, v)
-            if e in norm:
-                raise ValueError(f"duplicate edge {e}")
-            norm.add(e)
+            if v in nbrs[u]:
+                raise ValueError(f"duplicate edge {_norm(u, v)}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return Graph(n, frozenset(norm), tuple(frozenset(s) for s in nbrs))
+        return Graph(n, tuple(map(frozenset, nbrs)))
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset((u, w) for u, ns in enumerate(self.adj) for w in ns if u < w)
 
     @property
     def m(self) -> int:
@@ -67,8 +69,24 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
+
+def checked_vertices(g: Graph, allowed=None) -> frozenset[int]:
+    """``allowed`` (all of g when None) as a set; ValueError outside 0..n-1."""
+    if allowed is None:
+        return frozenset(range(g.n))
+    verts = frozenset(allowed)
+    if verts and not (0 <= min(verts) and max(verts) < g.n):
+        raise ValueError("vertex out of range")
+    return verts
+
+
+def checked_edges(g: Graph, pairs) -> list[Edge]:
+    """The pairs as (min, max) edges of g; ValueError names the first non-edge."""
+    edges = [_norm(u, v) for u, v in pairs]
+    for e in edges:
+        if not (0 <= e[0] < g.n and e[1] in g.adj[e[0]]):
+            raise ValueError(f"edge {e} not in graph")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -144,28 +162,23 @@ def contract_set(g: Graph, contracted) -> ContractionResult:
             x = parent[x]
         return x
 
-    for u, v in contracted:
-        e = _norm(u, v)
-        if e not in g.edges:
-            raise ValueError(f"edge {e} not in graph")
-        ru, rv = find(e[0]), find(e[1])
+    for u, v in checked_edges(g, contracted):
+        ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
 
     roots = sorted({find(v) for v in range(g.n)})
     index = {r: i for i, r in enumerate(roots)}
     vmap = tuple(index[find(v)] for v in range(g.n))
-    # A quotient of a simple graph has no loops and no repeated edges, so it
-    # is built directly rather than re-validated by Graph.from_edges.
+    # A quotient of a simple graph is simple, so it is built unvalidated; the
+    # loop reads g's cached edge set, which holds each edge once, not twice.
     nbrs: list[set[int]] = [set() for _ in roots]
-    qedges: set[Edge] = set()
     for u, v in g.edges:
         a, b = vmap[u], vmap[v]
         if a != b:
-            qedges.add(_norm(a, b))
             nbrs[a].add(b)
             nbrs[b].add(a)
-    quotient = Graph(len(roots), frozenset(qedges), tuple(frozenset(s) for s in nbrs))
+    quotient = Graph(len(roots), tuple(map(frozenset, nbrs)))
     return ContractionResult(quotient, vmap)
 
 
@@ -316,27 +329,22 @@ def bipartition(g: Graph, allowed=None) -> tuple[list[int], list[int]] | None:
     shortest_odd_cycle.  ``allowed`` restricts the check to an induced
     vertex subset.
     """
-    verts = sorted(allowed) if allowed is not None else range(g.n)
-    alive = set(verts)
+    alive = checked_vertices(g, allowed)
     color: dict[int, int] = {}
-    for s in verts:
+    for s in sorted(alive):
         if s in color:
             continue
         color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(g.adj[v]):
-                if w not in alive:
-                    continue
+        stack = [s]  # a connected bipartite graph has one 2-colouring, whatever the visiting order
+        while stack:
+            v = stack.pop()
+            for w in g.adj[v] & alive:
                 if w not in color:
                     color[w] = color[v] ^ 1
-                    queue.append(w)
+                    stack.append(w)
                 elif color[w] == color[v]:
                     return None
-    left = sorted(v for v in verts if color[v] == 0)
-    right = sorted(v for v in verts if color[v] == 1)
-    return left, right
+    return sorted(v for v in alive if color[v] == 0), sorted(v for v in alive if color[v] == 1)
 
 
 def tree_cycle(parent: dict[int, int], v: int, w: int) -> list[int]:
@@ -356,8 +364,8 @@ def tree_cycle(parent: dict[int, int], v: int, w: int) -> list[int]:
 def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
     """A shortest odd cycle as a vertex list (consecutive and wrap-around
     entries adjacent), or None when the graph is bipartite."""
-    alive = set(allowed) if allowed is not None else set(range(g.n))
-    best: tuple[int, list[int]] | None = None
+    alive = checked_vertices(g, allowed)
+    best: list[int] | None = None
     bipartite: set[int] = set()  # components whose search found no odd edge
     for s in sorted(alive):
         if s in bipartite:
@@ -374,24 +382,22 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
                 if (dist[v] + dist[w]) % 2 == 0:
                     odd = True
                     length = dist[v] + dist[w] + 1
-                    if best is None or length < best[0]:
-                        cyc = tree_cycle(par, v, w)
-                        best = (len(cyc), cyc)
+                    if best is None or length < len(best):
+                        best = tree_cycle(par, v, w)
         if not odd:
             bipartite.update(par)  # no root of a bipartite component can close an odd cycle
-        if best is not None and best[0] == 3:
+        if best is not None and len(best) == 3:
             break
-    return best[1] if best is not None else None
+    return best
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """Induced subgraph on ``vertices``; returns (subgraph, new-to-old map)."""
-    old = sorted(set(vertices))
-    if old and not 0 <= old[0] <= old[-1] < g.n:
-        raise ValueError("vertex out of range")
+    keep = checked_vertices(g, vertices)
+    old = sorted(keep)
     pos = {v: i for i, v in enumerate(old)}
-    edges = [(i, pos[w]) for i, v in enumerate(old) for w in g.adj[v] if v < w and w in pos]
-    return Graph.from_edges(len(old), edges), old
+    adj = tuple(frozenset(pos[w] for w in g.adj[v] & keep) for v in old)
+    return Graph(len(old), adj), old
 
 
 def path_graph(k: int) -> Graph:
@@ -428,7 +434,4 @@ def is_two_connected(g: Graph) -> bool:
     """Connected, at least 3 vertices, and no cut vertex."""
     if g.n < 3 or not is_connected(g):
         return False
-    for v in range(g.n):
-        if len(components(g.adj, [x for x in range(g.n) if x != v])) != 1:
-            return False
-    return True
+    return all(len(components(g.adj, [x for x in range(g.n) if x != v])) == 1 for v in range(g.n))

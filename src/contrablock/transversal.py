@@ -19,6 +19,8 @@ from .graphs import (
     Graph,
     bfs,
     bipartition,
+    checked_edges,
+    checked_vertices,
     components,
     contract_set,
     depth_first,
@@ -233,7 +235,7 @@ def contains(g: Graph, h: Graph, relation: str, allowed=None) -> Occurrence | No
     ascending.  ``allowed`` restricts the host to an induced vertex subset.
     """
     relation = _check_relation(relation)
-    hosts = frozenset(range(g.n) if allowed is None else allowed)
+    hosts = checked_vertices(g, allowed)
     if h.m >= h.n:
         # every relation keeps a cycle of h, and a forest has none
         edges = sum(len(g.adj[v] & hosts) for v in hosts) // 2
@@ -374,11 +376,7 @@ def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
 
 
 def _mg_from_graph(g: Graph) -> dict[int, dict[int, int]]:
-    adj: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
-    for u, v in g.edges:
-        adj[u][v] = 1
-        adj[v][u] = 1
-    return adj
+    return {v: dict.fromkeys(ns, 1) for v, ns in enumerate(g.adj)}
 
 
 def _mg_copy(adj):
@@ -565,7 +563,7 @@ def first_dropping_edge(g: Graph, fam: HitFamily, edges, tau: int) -> Edge | Non
     """The first edge of ``edges`` whose contraction brings the hitting
     number below ``tau``, or None.  A pair that is not an edge of g raises
     ValueError before any quotient is solved; with tau = 0 no edge drops."""
-    for e in edges:
+    for e in checked_edges(g, edges):
         quotient = contract_set(g, [e]).quotient
         if min_transversal(quotient, fam, budget=tau - 1) is not None:
             return e
@@ -573,8 +571,9 @@ def first_dropping_edge(g: Graph, fam: HitFamily, edges, tau: int) -> Edge | Non
 
 
 def drop_given_edge(g: Graph, e, fam: HitFamily) -> bool:
-    """Does contracting this one edge lower the hitting number?"""
-    return first_dropping_edge(g, fam, [e], hitting_number(g, fam)) is not None
+    """Does contracting this one edge lower the hitting number?  A pair
+    that is not an edge of g raises ValueError before anything is solved."""
+    return first_dropping_edge(g, fam, checked_edges(g, [e]), hitting_number(g, fam)) is not None
 
 
 def find_dropping_edge(g: Graph, fam: HitFamily) -> Edge | None:

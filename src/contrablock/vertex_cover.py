@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bfs, bipartition, components, contract_edge, split_solve
+from .graphs import Graph, bfs, bipartition, checked_vertices, components, contract_edge, split_solve
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResu
     exceeds it.  ``allowed`` restricts the graph to an induced vertex subset."""
     if budget is not None and budget < 0:
         return None
-    alive = set(range(g.n) if allowed is None else allowed)
+    alive = checked_vertices(g, allowed)
     adj = {v: set(ns) for v in alive if (ns := g.adj[v] & alive)}
     cap = len(alive) if budget is None else budget
     comps = components(adj, adj)  # each has an edge, so a cover of at least 1

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import contrablock
-from contrablock import contraction_vc
+from contrablock import contraction_vc, transversal
 from contrablock.cli import main
 from contrablock.graphs import Graph, serialize_graph
 
@@ -378,6 +378,17 @@ class TestValueErrorsExitTwo:
         # P4 has no cycle, so the hitting number is 0; the edge is checked anyway
         argv = ["blocker-edge", files["p4.gr"], "-e", edge, "--family", "fvs"]
         self.check(capsys, argv, f"edge ({edge.replace(',', ', ')}) not in graph")
+
+    @pytest.mark.parametrize("family", ["vc", "fvs", "oct"])
+    @pytest.mark.parametrize("edge", ["0,3", "9,0"])
+    def test_blocker_edge_checks_the_pair_before_solving(self, files, capsys, monkeypatch, family, edge):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the pair was checked")
+
+        monkeypatch.setattr(transversal, "min_transversal", solve)
+        argv = ["blocker-edge", files["p4.gr"], "-e", edge, "--family", family]
+        u, v = sorted(map(int, edge.split(",")))
+        self.check(capsys, argv, f"edge ({u}, {v}) not in graph")
 
     @pytest.mark.parametrize("text,message", [
         ("p cnf x 2\n1 2 0\n", "non-integer header field 'x'"),

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from contrablock.graphs import (
     shortest_odd_cycle,
     subdivide_edges,
 )
+from contrablock.transversal import contains
+from contrablock.vertex_cover import vc_bipartite, vc_branching
 
 from .conftest import disjoint_union, random_graph
 
@@ -181,7 +184,75 @@ def test_induced_subgraph_matches_an_edge_scan():
         pos = {v: i for i, v in enumerate(old)}
         scanned = Graph.from_edges(len(old), [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos])
         assert induced_subgraph(g, vertices) == (scanned, old), (g, vertices)
-    # a vertex outside 0..n-1 has no neighbour set to read
-    for bad in ([-1, 0], [0, 3]):
-        with pytest.raises(ValueError, match="vertex out of range"):
-            induced_subgraph(path_graph(3), bad)
+
+
+@pytest.mark.parametrize("call,args", [
+    (induced_subgraph, (path_graph(3), [-1, 0])),
+    (induced_subgraph, (path_graph(3), [0, 3])),
+    (bipartition, (path_graph(3), [-1, 0, 1])),
+    (shortest_odd_cycle, (complete_graph(3), [-1, 0, 1])),
+    (vc_branching, (path_graph(3), None, [-1, 0, 1])),
+    (vc_branching, (path_graph(3), None, [0, 5])),
+    (vc_bipartite, (path_graph(3), [-1, 0, 1])),
+    (contains, (path_graph(3), path_graph(2), "subgraph", [-1, 1])),
+], ids=lambda x: x.__name__ if callable(x) else None)
+def test_allowed_vertex_out_of_range(call, args):
+    # a vertex outside 0..n-1 has no neighbour set: a negative one would read
+    # another vertex's set, a large one would raise IndexError
+    with pytest.raises(ValueError, match="vertex out of range"):
+        call(*args)
+
+
+class TestGraphCore:
+    """A Graph is its vertex count and neighbour sets; the edge set is
+    derived from them on first read."""
+
+    @staticmethod
+    def four_ways(g: Graph, rng: random.Random) -> list[Graph]:
+        """g built by from_edges, parse_graph, contract_set and induced_subgraph."""
+        flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.sorted_edges()]
+        rng.shuffle(flipped)
+        # contracting each subdivision vertex into the smaller end of its
+        # edge gives g back, since classes are numbered by their minimum
+        sub = subdivide_edges(g)
+        onto = [(u, g.n + i) for i, (u, _) in enumerate(g.sorted_edges())]
+        padded = disjoint_union(g, path_graph(3))
+        return [
+            Graph.from_edges(g.n, flipped),
+            parse_graph(serialize_graph(g)),
+            contract_set(sub, onto).quotient,
+            induced_subgraph(padded, range(g.n))[0],
+        ]
+
+    def test_constructors_agree(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(0, 12), rng.choice([0.1, 0.3, 0.6]))
+            want = g.sorted_edges()
+            for built in self.four_ways(g, rng):
+                assert built == g and hash(built) == hash(g), want
+                assert built.edges == g.edges and built.m == len(want) and built.sorted_edges() == want
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 0), (1, 0)]])
+    def test_duplicate_in_either_orientation(self, edges):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph.from_edges(3, [(1, 2), *edges])
+
+    def test_fields_are_n_and_adj(self):
+        assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+
+    @pytest.mark.parametrize("read", [lambda h: h.edges, lambda h: h.m, Graph.sorted_edges],
+                             ids=["edges", "m", "sorted_edges"])
+    def test_edge_set_derived_on_first_read(self, read):
+        g = cycle_graph(5)
+        for h in (contract_set(g, [(0, 1)]).quotient, induced_subgraph(g, [0, 1, 2])[0]):
+            assert "edges" not in vars(h)
+            read(h)
+            assert vars(h)["edges"] == frozenset((u, w) for u in range(h.n) for w in h.adj[u] if u < w)
+
+    def test_edges_cannot_be_assigned(self):
+        g = path_graph(3)
+        for _ in range(2):  # before and after the first read
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.edges = frozenset()
+            assert g.edges == {(0, 1), (1, 2)}

@@ -25,6 +25,24 @@ def test_no_assert_statements():
     assert not found, "assert statements in the library: " + ", ".join(found)
 
 
+def test_graph_constructor_only_in_graphs():
+    # ``Graph(n, adj)`` trusts its neighbour sets to be symmetric and
+    # loop-free; everything outside the graph core builds through
+    # ``Graph.from_edges``, which checks them
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.relative_to(SRC.parent)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Graph" or getattr(node.func, "attr", None) == "Graph")
+        ]
+    assert not found, "Graph(...) called outside graphs.py: " + ", ".join(found)
+
+
 def _bench_names(*targets: str) -> list[str]:
     """The string tuples that ``bench/run.py`` assigns to ``targets``, read
     without importing the benchmark."""

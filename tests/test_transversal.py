@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from contrablock import transversal
 from contrablock.graphs import (
     Graph,
     complete_graph,
@@ -16,6 +17,7 @@ from contrablock.transversal import (
     drop_given_edge,
     feedback_vertex_set,
     find_dropping_edge,
+    first_dropping_edge,
     min_transversal,
     odd_cycle_transversal,
 )
@@ -312,6 +314,20 @@ class TestBlockerQueries:
         assert drop_given_edge(path_graph(4), (1, 2), fam)
         assert not drop_given_edge(cycle_graph(4), (0, 1), fam)
         assert drop_given_edge(path_graph(2), (0, 1), fam)
+
+    @pytest.mark.parametrize("pair,message", [
+        ((3, 0), "edge (0, 3) not in graph"),
+        ((-1, 0), "edge (-1, 0) not in graph"),
+        ((0, 9), "edge (0, 9) not in graph"),
+    ])
+    def test_every_pair_checked_before_solving(self, monkeypatch, pair, message):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before every pair was checked")
+
+        monkeypatch.setattr(transversal, "min_transversal", solve)
+        with pytest.raises(ValueError) as exc:
+            first_dropping_edge(path_graph(4), HitFamily.vertex_cover(), [(0, 1), (1, 2), pair], 2)
+        assert str(exc.value) == message
 
     def test_find_dropping_edge_examples(self):
         fvs = HitFamily.feedback_vertex_set()
