@@ -8,7 +8,7 @@ bc_decide searches for, returning the edge set itself.
 
 from __future__ import annotations
 
-from .graphs import Edge, Graph, bfs, bipartition, components, contract_set, shallowest, shortest_odd_cycle
+from .graphs import Edge, Graph, bfs, components, contract_set, contracted_coloring, shallowest, shortest_odd_cycle
 
 Coloring = tuple[int, ...]
 
@@ -48,13 +48,13 @@ def coloring_to_contraction(g: Graph, phi) -> list[Edge]:
 
 
 def contraction_to_coloring(g: Graph, contracted) -> Coloring:
-    """Pull the quotient's bipartition back through the vertex map."""
-    res = contract_set(g, contracted)
-    sides = bipartition(res.quotient)
-    if sides is None:
+    """Pull the quotient's bipartition back through the vertex map: the
+    quotient's left side, which holds each component's smallest quotient
+    vertex, is colour 1."""
+    color = contracted_coloring(g, contracted)
+    if color is None:
         raise ValueError("quotient is not bipartite")
-    left = set(sides[0])
-    return tuple(1 if res.vmap[v] in left else 2 for v in range(g.n))
+    return tuple(c + 1 for c in color)
 
 
 def bc_decide(g: Graph, k: int) -> list[Edge] | None:
@@ -64,6 +64,11 @@ def bc_decide(g: Graph, k: int) -> list[Edge] | None:
     each original edge between two classes, one of them on a shortest odd
     cycle of the current quotient.  Destroying every odd cycle requires
     contracting such an edge, so the search is complete.
+
+    The goal test on each new set is a 2-colouring of g itself that keeps
+    the colour inside a class and flips it between classes
+    (``contracted_coloring``), so a quotient is built only for a set the
+    search expands.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
@@ -77,6 +82,5 @@ def bc_decide(g: Graph, k: int) -> list[Edge] | None:
             if a != b and (a in on_cycle or b in on_cycle):  # a == b: inside one class, no change
                 yield chosen | {e}
 
-    found = shallowest(frozenset(), lambda chosen: bipartition(contract_set(g, chosen).quotient) is not None,
-                       children, k)
+    found = shallowest(frozenset(), lambda chosen: contracted_coloring(g, chosen) is not None, children, k)
     return None if found is None else sorted(found)

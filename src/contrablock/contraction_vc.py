@@ -181,16 +181,18 @@ def _first_drop(g: Graph, sizes, target: int, fits) -> tuple[Edge, ...] | None:
     return None
 
 
-def _component_opt(c: Graph, d_prime: int, paper_convention: bool):
+def _component_opt(c: Graph, d_prime: int, paper_convention: bool, vc_c: int | None = None):
     """(minimum contraction count, witness) for dropping the cover of one
-    connected component by d_prime; (inf, None) when unattainable."""
+    connected component by d_prime; (inf, None) when unattainable.  ``vc_c``
+    is c's cover number when the caller already knows it."""
     if d_prime < 0:
         raise ValueError("drop must be non-negative")
     if not is_connected(c):
         raise ValueError("component must be connected")
     if d_prime == 0:
         return 0, ()
-    vc_c = vc_branching(c).size
+    if vc_c is None:
+        vc_c = vc_branching(c).size
     if vc_c < d_prime or (paper_convention and vc_c == d_prime):
         return math.inf, None
     if vc_c == d_prime:
@@ -229,9 +231,10 @@ def _dp_with_witness(g: Graph, d: int, paper_convention: bool):
     best = [(0, ())]
     for comp in connected_components(g):
         sub, old = induced_subgraph(g, comp)
+        vc_sub = vc_branching(sub).size if d > 0 else None  # one exact cover for every share q >= 1
         opts = []
         for q in range(d + 1):
-            val, wit = _component_opt(sub, q, paper_convention)
+            val, wit = _component_opt(sub, q, paper_convention, vc_sub)
             if math.isinf(val):
                 break
             opts.append((val, tuple((min(old[a], old[b]), max(old[a], old[b])) for a, b in wit)))

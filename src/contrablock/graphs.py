@@ -104,10 +104,13 @@ class ContractionResult:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the plain text format: '# comment' lines, then 'n m', then m 'u v' lines."""
+    """Parse the plain text format: '# comment' lines, then 'n m', then m 'u v' lines.
+
+    Each edge line is checked here, with its line number, so the neighbour
+    sets it fills build the ``Graph`` directly."""
     n = m = -1
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
+    found = 0
+    nbrs: dict[int, set[int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -133,16 +136,16 @@ def parse_graph(text: str) -> Graph:
             raise GraphFormatError(f"vertex out of range 0..{n - 1}", lineno)
         if u == v:
             raise GraphFormatError(f"loop at vertex {u}", lineno)
-        e = _norm(u, v)
-        if e in seen:
-            raise GraphFormatError(f"duplicate edge {e[0]} {e[1]}", lineno)
-        seen.add(e)
-        edges.append(e)
+        if v in nbrs.get(u, ()):
+            raise GraphFormatError(f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+        found += 1
     if n < 0:
         raise GraphFormatError("missing header 'n m'")
-    if len(edges) != m:
-        raise GraphFormatError(f"header announced {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if found != m:
+        raise GraphFormatError(f"header announced {m} edges, found {found}")
+    return Graph(n, tuple(frozenset(nbrs.get(v, ())) for v in range(n)))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -151,9 +154,9 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def contract_set(g: Graph, contracted) -> ContractionResult:
-    """Contract a set of edges; merged classes are renumbered by their minimum
-    original vertex, so the result is independent of input order."""
+def _class_map(g: Graph, contracted) -> list[int]:
+    """``cls[v]``, the smallest original vertex of v's class once the edges
+    of ``contracted`` are contracted; ValueError names the first non-edge."""
     parent = list(range(g.n))
 
     def find(x: int) -> int:
@@ -165,21 +168,62 @@ def contract_set(g: Graph, contracted) -> ContractionResult:
     for u, v in checked_edges(g, contracted):
         ru, rv = find(u), find(v)
         if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+            parent[max(ru, rv)] = min(ru, rv)  # a root stays its class's minimum
+    return [find(v) for v in range(g.n)]
 
-    roots = sorted({find(v) for v in range(g.n)})
-    index = {r: i for i, r in enumerate(roots)}
-    vmap = tuple(index[find(v)] for v in range(g.n))
+
+def contract_set(g: Graph, contracted) -> ContractionResult:
+    """Contract a set of edges; merged classes are renumbered by their minimum
+    original vertex, so the result is independent of input order."""
+    cls = _class_map(g, contracted)
+    vmap: list[int] = []
+    roots = 0
+    for v, r in enumerate(cls):
+        if r == v:  # a class's minimum comes before the rest of the class
+            vmap.append(roots)
+            roots += 1
+        else:
+            vmap.append(vmap[r])
     # A quotient of a simple graph is simple, so it is built unvalidated; the
     # loop reads g's cached edge set, which holds each edge once, not twice.
-    nbrs: list[set[int]] = [set() for _ in roots]
+    nbrs: list[set[int]] = [set() for _ in range(roots)]
     for u, v in g.edges:
         a, b = vmap[u], vmap[v]
         if a != b:
             nbrs[a].add(b)
             nbrs[b].add(a)
-    quotient = Graph(len(roots), tuple(map(frozenset, nbrs)))
-    return ContractionResult(quotient, vmap)
+    quotient = Graph(roots, tuple(map(frozenset, nbrs)))
+    return ContractionResult(quotient, tuple(vmap))
+
+
+def contracted_coloring(g: Graph, contracted) -> tuple[int, ...] | None:
+    """A 0/1 colouring of g that pulls back a proper 2-colouring of the
+    contraction of ``contracted``, or None when that quotient is odd; the
+    quotient itself is never built.
+
+    One stack search over g: an edge inside a class keeps the colour and
+    an edge between classes flips it.  Each component starts from its
+    smallest vertex with colour 0, whose class is the component's smallest
+    quotient vertex, so the colouring is the one ``bipartition`` gives the
+    quotient, read through the vertex map."""
+    cls = _class_map(g, contracted)
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            same, flip, c = color[v], color[v] ^ 1, cls[v]
+            for w in g.adj[v]:
+                want = same if cls[w] == c else flip
+                if color[w] < 0:
+                    color[w] = want
+                    stack.append(w)
+                elif color[w] != want:
+                    return None
+    return tuple(color)
 
 
 def contract_edge(g: Graph, e: Edge) -> ContractionResult:

@@ -394,11 +394,13 @@ def _mg_degree(adj, v) -> int:
     return sum(c for w, c in adj[v].items() if w != v) + 2 * adj[v].get(v, 0)
 
 
-def _mg_reduce(adj, forbidden) -> set[int] | None:
+def _mg_reduce(adj, forbidden, todo=None) -> set[int] | None:
     """Exhaustive degree reductions; returns forced solution vertices, or
-    None when a loop sits on a forbidden vertex (branch infeasible)."""
+    None when a loop sits on a forbidden vertex (branch infeasible).
+    ``todo`` seeds the worklist (every vertex when None); the caller
+    vouches that every other vertex is irreducible."""
     forced: set[int] = set()
-    heap = sorted(adj)
+    heap = sorted(adj if todo is None else todo)
     queued = set(heap)
     while heap:
         v = heapq.heappop(heap)
@@ -481,21 +483,24 @@ def _mg_packing_lb(adj) -> int:
         count += 1
 
 
-def _fvs_solve(adj, forbidden: frozenset[int], cap: int) -> set[int] | None:
+def _fvs_solve(adj, forbidden: frozenset[int], cap: int, todo=None) -> set[int] | None:
     """Minimum feedback vertex set of the multigraph avoiding ``forbidden``,
     if it has at most ``cap`` vertices, or None.  Consumes ``adj``: every
     caller passes a multigraph, or a component of one, that it does not use
-    again."""
+    again.  ``todo`` holds the vertices that may have become reducible since
+    ``adj`` was last reduced (all of them when None): none for a component
+    of a reduced graph, the old neighbours of a deleted vertex, and a newly
+    forbidden vertex itself, whose bypass forbidding may unblock."""
     if cap < 0:
         return None
-    forced = _mg_reduce(adj, forbidden)
+    forced = _mg_reduce(adj, forbidden, todo)
     if forced is None or len(forced) > cap:
         return None
     rem = cap - len(forced)
     comps = _mg_components(adj)
     if len(comps) != 1:
         lbs = [_mg_packing_lb(c) for c in comps]
-        res = split_solve(comps, lbs, rem, lambda comp, share: _fvs_solve(comp, forbidden, share))
+        res = split_solve(comps, lbs, rem, lambda comp, share: _fvs_solve(comp, forbidden, share, ()))
     elif _mg_packing_lb(adj) > rem:
         return None
     else:
@@ -517,12 +522,13 @@ def _fvs_solve(adj, forbidden: frozenset[int], cap: int) -> set[int] | None:
             child = adj if i == len(options) - 1 else _mg_copy(adj)
             limit = rem if res is None else len(res) - 1
             if delete:
+                touched = list(child[v])
                 _mg_delete(child, v)
-                sub = _fvs_solve(child, forbidden, limit - 1)
+                sub = _fvs_solve(child, forbidden, limit - 1, touched)
                 if sub is not None:
                     res = sub | {v}
             else:
-                sub = _fvs_solve(child, forbidden | {v}, limit)
+                sub = _fvs_solve(child, forbidden | {v}, limit, (v,))
                 if sub is not None:
                     res = sub
     if res is None:

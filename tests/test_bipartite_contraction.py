@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from contrablock import bipartite_contraction
 from contrablock.bipartite_contraction import (
     bc_decide,
     coloring_cost,
@@ -18,7 +19,7 @@ from contrablock.graphs import (
     path_graph,
 )
 
-from .conftest import min_coloring_cost, random_graph
+from .conftest import disjoint_union, min_coloring_cost, random_graph
 
 
 def _reference_bc(g, k):
@@ -29,6 +30,24 @@ def _reference_bc(g, k):
             if bipartition(contract_set(g, f).quotient) is not None:
                 return list(f)
     return None
+
+
+def _reference_contraction_to_coloring(g, contracted):
+    """``contraction_to_coloring`` as it was before it read the colouring
+    off g itself: the quotient's bipartition pulled back, verbatim."""
+    res = contract_set(g, contracted)
+    sides = bipartition(res.quotient)
+    if sides is None:
+        raise ValueError("quotient is not bipartite")
+    left = set(sides[0])
+    return tuple(1 if res.vmap[v] in left else 2 for v in range(g.n))
+
+
+def _outcome(fn, g, f):
+    try:
+        return fn(g, f)
+    except ValueError as err:
+        return str(err)
 
 
 class TestColoringCost:
@@ -108,6 +127,22 @@ class TestColoringContractionBridge:
             assert len(coloring_to_contraction(g, phi)) <= len(f)
 
 
+    def test_pullback_matches_reference(self):
+        # colourings, the odd-quotient refusal and the non-edge refusal all
+        # stay as they were, on sets with and without cycles
+        rng = random.Random(26)
+        kinds = {"coloring": 0, "quotient is not bipartite": 0, "non-edge": 0}
+        for _ in range(2000):
+            g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]))
+            f = rng.sample(g.sorted_edges(), rng.randint(0, min(4, g.m)))
+            if rng.random() < 0.1:
+                f.append(rng.choice([(u, v) for u in range(g.n) for v in range(g.n + 1) if not g.has_edge(u, v)]))
+            want = _outcome(_reference_contraction_to_coloring, g, f)
+            assert _outcome(contraction_to_coloring, g, f) == want, (g.sorted_edges(), f)
+            kinds[want if want in kinds else "coloring" if isinstance(want, tuple) else "non-edge"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+
 class TestBcDecide:
     def test_examples(self):
         assert bc_decide(cycle_graph(4), 0) == []
@@ -141,6 +176,28 @@ class TestBcDecide:
                 assert (fast is None) == (slow is None), (g.edges, k)
                 if fast is not None:
                     assert len(fast) == len(slow), (g.edges, k)  # both are minimum
+
+    @pytest.mark.parametrize("g,k,witness,expanded,tested", [
+        (disjoint_union(complete_graph(4), cycle_graph(5)), 3, [(0, 1), (0, 2), (4, 5)], 8, 23),
+        (complete_graph(5), 2, None, 10, 55),
+    ], ids=["K4+C5", "K5"])
+    def test_quotients_only_for_expanded_states(self, g, k, witness, expanded, tested, monkeypatch):
+        # one contract_set per state the search expands, one colouring per
+        # state it tests (the root and each new child); the pinned counts
+        # let a later change show fewer nodes, not only fewer seconds
+        calls = {"contract_set": 0, "coloring": 0, "expand": 0, "goal": 0}
+
+        def counted(key, fn):
+            return lambda *args: calls.update({key: calls[key] + 1}) or fn(*args)
+
+        real = bipartite_contraction.shallowest
+        monkeypatch.setattr(bipartite_contraction, "contract_set", counted("contract_set", contract_set))
+        monkeypatch.setattr(bipartite_contraction, "contracted_coloring",
+                            counted("coloring", bipartite_contraction.contracted_coloring))
+        monkeypatch.setattr(bipartite_contraction, "shallowest", lambda root, goal, children, hi: real(
+            root, counted("goal", goal), counted("expand", children), hi))
+        assert bc_decide(g, k) == witness
+        assert calls == {"contract_set": expanded, "coloring": tested, "expand": expanded, "goal": tested}
 
     def test_matches_coloring_oracle(self):
         # decision success must coincide with the existence of a cheap coloring

@@ -35,7 +35,7 @@ from contrablock.contraction_vc import (
     min_contract_vc,
     two_approx_drop,
 )
-from contrablock.graphs import Edge, connected_components, contract_set, cycle_graph, induced_subgraph
+from contrablock.graphs import Edge, connected_components, contract_set, cycle_graph, induced_subgraph, path_graph
 from contrablock.vertex_cover import vc_branching, vc_with_modulator
 
 from .conftest import disjoint_union, random_graph
@@ -296,7 +296,8 @@ def test_drop_far_above_the_cover_number_is_cheap(paper_convention, monkeypatch)
     # only, not for all d + 1 of them
     asked = Counter()
     real = contraction_vc._component_opt
-    monkeypatch.setattr(contraction_vc, "_component_opt", lambda c, q, pc: asked.update([q]) or real(c, q, pc))
+    monkeypatch.setattr(contraction_vc, "_component_opt",
+                        lambda c, q, pc, *vc: asked.update([q]) or real(c, q, pc, *vc))
     g = disjoint_union(cycle_graph(5), cycle_graph(5))
     d = 10**5
     assert min_contract_vc(g, d, paper_convention) is None
@@ -309,6 +310,25 @@ def test_drop_far_above_the_cover_number_is_cheap(paper_convention, monkeypatch)
     # and the DP asks both components up to the first infinite share
     last = 3 if paper_convention else 4
     assert asked == Counter({q: 2 for q in range(last + 1)}), asked
+
+
+def test_dp_solves_each_component_cover_once(monkeypatch):
+    # four disjoint P4s at k = d = 4: one unbounded cover per component for
+    # every share the DP asks of it; the budgeted calls are the cascade's
+    # vc < d check and _large_component on g, and one quotient fit each
+    calls = Counter()
+    real = contraction_vc.vc_branching
+
+    def counted(h, budget=None, allowed=None):
+        calls["unbounded" if budget is None else "budgeted"] += 1
+        return real(h, budget, allowed)
+
+    monkeypatch.setattr(contraction_vc, "vc_branching", counted)
+    g = path_graph(4)
+    for _ in range(3):
+        g = disjoint_union(g, path_graph(4))
+    assert algorithm1(g, 4, 4) == Decision(True, ((0, 1), (4, 5), (8, 9), (12, 13)), "small-components")
+    assert calls == Counter({"unbounded": 4, "budgeted": 9}), calls
 
 
 @pytest.mark.parametrize("d", [21, 10**5])

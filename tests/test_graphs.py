@@ -13,6 +13,7 @@ from contrablock.graphs import (
     connected_components,
     contract_edge,
     contract_set,
+    contracted_coloring,
     cycle_graph,
     induced_subgraph,
     parse_graph,
@@ -74,6 +75,39 @@ class TestParsing:
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphFormatError):
             parse_graph("3 2\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "missing header 'n m'"),
+            ("3\n", "line 1: expected header 'n m'"),
+            ("x y\n", "line 1: non-integer header field"),
+            ("-1 0\n", "line 1: negative count in header"),
+            ("3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
+            ("3 2\n0 1\nx y\n", "line 3: non-integer vertex"),
+            ("3 1\n0 9\n", "line 2: vertex out of range 0..2"),
+            ("3 1\n1 1\n", "line 2: loop at vertex 1"),
+            ("3 2\n0 1\n1 0\n", "line 3: duplicate edge 0 1"),
+            ("# c\n3 2\n2 1\n1 2\n", "line 4: duplicate edge 1 2"),
+            ("3 2\n0 1\n", "header announced 2 edges, found 1"),
+            ("2 0\n0 1\n", "header announced 0 edges, found 1"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
+    def test_validates_each_edge_once(self, monkeypatch):
+        # parse_graph checks every edge line itself, so it builds the Graph
+        # without handing the same edges to the validating from_edges again
+        def refuse(*args):
+            raise AssertionError("from_edges called")
+
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+        g = parse_graph("# c\n5 4\n3 1\n0 1\n1 2\n4 0\n")
+        assert g.n == 5 and g.adj == (frozenset({1, 4}), frozenset({0, 2, 3}), frozenset({1}),
+                                      frozenset({1}), frozenset({0}))
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
@@ -201,6 +235,51 @@ def test_allowed_vertex_out_of_range(call, args):
     # another vertex's set, a large one would raise IndexError
     with pytest.raises(ValueError, match="vertex out of range"):
         call(*args)
+
+
+class TestContractedColoring:
+    """``contracted_coloring`` answers on g itself what ``bipartition`` of
+    the quotient answers, read back through the vertex map."""
+
+    @staticmethod
+    def pulled_back(g, f):
+        res = contract_set(g, f)
+        sides = bipartition(res.quotient)
+        if sides is None:
+            return None
+        left = set(sides[0])
+        return tuple(0 if res.vmap[v] in left else 1 for v in range(g.n))
+
+    def test_matches_quotient_bipartition(self):
+        rng = random.Random(20)
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            g = random_graph(rng, rng.randint(0, 10), rng.choice([0.15, 0.3, 0.5]))
+            edges = g.sorted_edges()
+            f = rng.sample(edges, rng.randint(0, min(5, len(edges))))
+            rng.shuffle(f)
+            f = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in f]
+            got = contracted_coloring(g, f)
+            assert got == self.pulled_back(g, f), (g.sorted_edges(), f)
+            outcomes[got is None] += 1
+        assert min(outcomes.values()) >= 500, outcomes
+
+    def test_examples(self):
+        assert contracted_coloring(complete_graph(3), []) is None
+        assert contracted_coloring(complete_graph(3), [(0, 1)]) == (0, 0, 1)
+        assert contracted_coloring(cycle_graph(4), [(0, 1), (1, 2)]) == (0, 0, 0, 1)
+        assert contracted_coloring(cycle_graph(4), [(0, 1)]) is None  # the quotient is a triangle
+        assert contracted_coloring(disjoint_union(path_graph(2), path_graph(3)), []) == (0, 1, 0, 1, 0)
+        assert contracted_coloring(Graph.from_edges(0, []), []) == ()
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (0, 5), (-1, 0)])
+    def test_non_edge_rejected_like_contract_set(self, pair):
+        g = path_graph(3)
+        with pytest.raises(ValueError) as want:
+            contract_set(g, [(0, 1), pair])
+        with pytest.raises(ValueError) as got:
+            contracted_coloring(g, [(0, 1), pair])
+        assert str(got.value) == str(want.value)
 
 
 class TestGraphCore:

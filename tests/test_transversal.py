@@ -10,6 +10,7 @@ from contrablock.graphs import (
     contract_edge,
     cycle_graph,
     path_graph,
+    subdivide_edges,
 )
 from contrablock.transversal import (
     HitFamily,
@@ -306,6 +307,55 @@ class TestWorklistReduction:
 
         rest, _ = induced_subgraph(g, [v for v in range(g.n) if v not in res[1]])
         assert is_forest(rest)
+
+
+class TestSeededReduction:
+    def test_matches_full_worklist(self, monkeypatch):
+        # _fvs_solve re-examines only the vertices a branch changed; seeding
+        # every vertex at every node must find the same sets
+        rng = random.Random(4093)
+        cases = []
+        for _ in range(800):
+            g = random_graph(rng, rng.randint(3, 12), rng.choice([0.2, 0.3, 0.45]))
+            if rng.random() < 0.3:
+                g = subdivide_edges(g)
+            cases.append((g, rng.choice([None, None, rng.randint(0, 4)])))
+        seeded = [feedback_vertex_set(g, budget) for g, budget in cases]
+        real = transversal._mg_reduce
+        monkeypatch.setattr(transversal, "_mg_reduce", lambda adj, forbidden, todo=None: real(adj, forbidden))
+        assert [feedback_vertex_set(g, budget) for g, budget in cases] == seeded
+        # budgets that refuse, and optima deep enough to branch several times
+        assert sum(res is None for res in seeded) >= 50
+        assert sum(res is not None and res[0] >= 3 for res in seeded) >= 100
+
+    def test_branch_seeds_reach_every_reducible_vertex(self):
+        # in a reduced multigraph, deleting v can make only its old
+        # neighbours reducible, and forbidding v only v itself (a degree-2
+        # vertex between two forbidden ones may now be bypassed): reducing
+        # from those seeds ends where the sorted full rescan ends
+        from contrablock.transversal import _mg_copy, _mg_delete, _mg_reduce
+
+        rng = random.Random(4094)
+        bypassed = {"delete": 0, "forbid": 0}
+        for _ in range(3000):
+            adj = _random_multigraph(rng)
+            forbidden = frozenset(v for v in adj if rng.random() < rng.choice([0.0, 0.3, 0.7]))
+            free = [v for v in adj if v not in forbidden]
+            if _mg_reduce(adj, forbidden) is None or not set(free) & set(adj):
+                continue
+            v = rng.choice(sorted(set(free) & set(adj)))
+            child = _mg_copy(adj)
+            if rng.random() < 0.5:
+                kind, seeds, rule = "delete", list(child[v]), forbidden
+                _mg_delete(child, v)
+            else:
+                kind, seeds, rule = "forbid", (v,), forbidden | {v}
+            want_adj = _mg_copy(child)
+            want = _reference_reduce(want_adj, rule)
+            assert _mg_reduce(child, rule, seeds) == want, (adj, forbidden, kind, v)
+            assert child == want_adj, (adj, forbidden, kind, v)
+            bypassed[kind] += len(child) < len(adj) - (kind == "delete")
+        assert min(bypassed.values()) >= 20, bypassed
 
 
 class TestBlockerQueries:
