@@ -104,10 +104,7 @@ class ContractionResult:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the plain text format: '# comment' lines, then 'n m', then m 'u v' lines.
-
-    Each edge line is checked here, with its line number, so the neighbour
-    sets it fills build the ``Graph`` directly."""
+    """Parse the plain text format: '# comment' lines, then 'n m', then m 'u v' lines."""
     n = m = -1
     found = 0
     nbrs: dict[int, set[int]] = {}
@@ -145,6 +142,7 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("missing header 'n m'")
     if found != m:
         raise GraphFormatError(f"header announced {m} edges, found {found}")
+    # every edge line was checked above, with its line number
     return Graph(n, tuple(frozenset(nbrs.get(v, ())) for v in range(n)))
 
 
@@ -197,15 +195,13 @@ def contract_set(g: Graph, contracted) -> ContractionResult:
 
 
 def contracted_coloring(g: Graph, contracted) -> tuple[int, ...] | None:
-    """A 0/1 colouring of g that pulls back a proper 2-colouring of the
-    contraction of ``contracted``, or None when that quotient is odd; the
-    quotient itself is never built.
+    """``bipartition``'s 0/1 colouring of the contraction of ``contracted``,
+    read back onto g's vertices, or None when that quotient is odd.
 
-    One stack search over g: an edge inside a class keeps the colour and
-    an edge between classes flips it.  Each component starts from its
-    smallest vertex with colour 0, whose class is the component's smallest
-    quotient vertex, so the colouring is the one ``bipartition`` gives the
-    quotient, read through the vertex map."""
+    The quotient is never built: one stack search over g keeps the colour
+    across an edge inside a class and flips it across one between classes.
+    Each component starts with colour 0 at its smallest vertex, whose class
+    is the component's smallest quotient vertex, as in ``bipartition``."""
     cls = _class_map(g, contracted)
     color = [-1] * g.n
     for s in range(g.n):
