@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import bipartite_contraction, contraction_vc, reductions, transversal, vertex_cover
-from .graphs import Graph, GraphFormatError, cycle_graph, parse_graph, serialize_graph
+from .graphs import GraphFormatError, cycle_graph, parse_graph, serialize_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -26,18 +26,24 @@ class InputError(Exception):
     pass
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, parse):
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except GraphFormatError as exc:
+    except (GraphFormatError, reductions.CleanFormulaError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def _edge_list(edges) -> str:
     return " ".join(f"{u}-{v}" for u, v in sorted(edges))
+
+
+def _print_set(vertices) -> None:
+    print(len(vertices))
+    if vertices:
+        print(" ".join(str(v) for v in sorted(vertices)))
 
 
 _SYMBOLIC_FAMILIES = {
@@ -49,7 +55,7 @@ _SYMBOLIC_FAMILIES = {
 
 def _parse_family(name: str, relation: str) -> transversal.HitFamily:
     if name.startswith("pattern:"):
-        pattern = _load_graph(name.split(":", 1)[1])
+        pattern = _load(name.split(":", 1)[1], parse_graph)
         return transversal.HitFamily.explicit([pattern], relation)
     if name not in _SYMBOLIC_FAMILIES:
         raise InputError(f"unknown family {name!r}")
@@ -67,7 +73,7 @@ _RELATIONS = {
 
 
 def _cmd_vc(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     if args.modulator is not None:
         try:
             mod = [int(t) for t in args.modulator.split(",")] if args.modulator else []
@@ -78,29 +84,24 @@ def _cmd_vc(args) -> int:
         res = vertex_cover.vc_bipartite(g)
     else:
         res = vertex_cover.vc_branching(g)
-    print(res.size)
-    if res.cover:
-        print(" ".join(str(v) for v in sorted(res.cover)))
+    _print_set(res.cover)
     return EXIT_OK
 
 
 def _cmd_tau(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     fam = _parse_family(args.family, _RELATIONS[args.relation])
     if args.budget is not None and args.budget < 0:
         raise InputError("budget must be non-negative")
     res = transversal.min_transversal(g, fam, budget=args.budget)
     if res is None:
         raise BudgetExceeded(f"hitting number exceeds budget {args.budget}")
-    size, picks = res
-    print(size)
-    if picks:
-        print(" ".join(str(v) for v in sorted(picks)))
+    _print_set(res[1])
     return EXIT_OK
 
 
 def _cmd_bc(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     witness = bipartite_contraction.bc_decide(g, args.max)
     if witness is None:
         print("NO")
@@ -112,7 +113,7 @@ def _cmd_bc(args) -> int:
 
 
 def _cmd_contract_vc(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     decision = contraction_vc.algorithm1(g, args.k, args.d)
     print("YES" if decision.answer else "NO")
     if decision.answer and args.witness and decision.witness:
@@ -123,7 +124,7 @@ def _cmd_contract_vc(args) -> int:
 def _cmd_min_contract_vc(args) -> int:
     if args.cap is not None and not args.brute:
         raise InputError("--cap needs --brute")
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     if args.brute:
         cap = args.cap if args.cap is not None else g.m
         res = contraction_vc.brute_min_contract(g, args.d, cap, args.paper_convention)
@@ -138,7 +139,7 @@ def _cmd_min_contract_vc(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    phi = _load_cnf(args.cnf)
+    phi = _load(args.cnf, reductions.parse_cnf)
     inst = _build_instance(phi, args)
     graph_path = f"{args.output}.gr"
     roles_path = f"{args.output}.roles"
@@ -158,7 +159,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify_claims(args) -> int:
-    phi = _load_cnf(args.cnf)
+    phi = _load(args.cnf, reductions.parse_cnf)
     inst = _build_instance(phi, args)
     report = reductions.verify_claims(
         inst, sample_edges=args.sample_edges, full_scan=args.full_scan
@@ -169,7 +170,7 @@ def _cmd_verify_claims(args) -> int:
 
 
 def _cmd_blocker_edge(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     try:
         u, v = (int(t) for t in args.edge.split(","))
     except ValueError:
@@ -177,16 +178,6 @@ def _cmd_blocker_edge(args) -> int:
     fam = _parse_family(args.family, _RELATIONS[args.relation])
     print("YES" if transversal.drop_given_edge(g, (u, v), fam) else "NO")
     return EXIT_OK
-
-
-def _load_cnf(path: str) -> reductions.CleanFormula:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return reductions.parse_cnf(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except reductions.CleanFormulaError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 _INSTANCE_FLAGS = {1: "gadget", 2: "clique", 3: "path"}
@@ -197,9 +188,8 @@ def _build_instance(phi, args) -> reductions.GadgetInstance:
         if theorem != args.theorem and getattr(args, flag) is not None:
             raise InputError(f"--{flag} applies to --theorem {theorem} only")
     if args.theorem == 1:
-        if args.gadget in (None, "c4"):
-            return reductions.build_double_copy_instance(phi, cycle_graph(4), 0, 2)
-        return reductions.build_double_copy_instance(phi, _load_graph(args.gadget))
+        pattern = cycle_graph(4) if args.gadget in (None, "c4") else _load(args.gadget, parse_graph)
+        return reductions.build_double_copy_instance(phi, pattern)
     if args.theorem == 2:
         if args.clique is None:
             raise InputError("--clique is required with --theorem 2")

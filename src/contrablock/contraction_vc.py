@@ -18,7 +18,6 @@ from .graphs import (
     Edge,
     Graph,
     bfs,
-    bipartition,
     connected_components,
     contract_set,
     forest_sets,
@@ -92,15 +91,9 @@ def _spanning_forest_witness(g: Graph, d: int) -> tuple[Edge, ...]:
 
 
 def contraction_vc_1(g: Graph) -> Decision:
-    """Exact answer for one contraction / drop one.  Non-bipartite graphs are
-    immediate yes-instances; bipartite ones are settled by the enumeration,
-    whose modulator is the merged vertex of each edge."""
-    if bipartition(g) is None:
-        return Decision(True, lambda: _spanning_forest_witness(g, 1), "bc-large")
-    witness = _enumerate(g, 1, 1, ())
-    if witness is not None:
-        return Decision(True, witness, "enumeration-yes")
-    return Decision(False, None, "enumeration-no")
+    """Exact answer for one contraction / drop one: ``algorithm1`` at
+    k = d = 1, where every branch of the cascade is polynomial."""
+    return algorithm1(g, 1, 1)
 
 
 def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:

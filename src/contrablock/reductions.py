@@ -302,8 +302,9 @@ def build_double_copy_instance(
     phi: CleanFormula, pattern: Graph, u: int | None = None, v: int | None = None
 ) -> GadgetInstance:
     """Replace same-side base edges by two copies of the pattern glued at two
-    non-adjacent vertices, cross edges by one copy, and hang a doubled pendant
-    copy from each cross copy's base vertex."""
+    non-adjacent vertices u and v (by default the first such pair in index
+    order), cross edges by one copy, and hang a doubled pendant copy from
+    each cross copy's base vertex."""
     if not is_two_connected(pattern):
         raise ValueError("pattern must be 2-connected")
     if pattern.m == pattern.n * (pattern.n - 1) // 2:
@@ -363,11 +364,12 @@ def build_double_copy_instance(
 
 def build_subdivided_clique_instance(phi: CleanFormula, clique_size: int) -> GadgetInstance:
     """The clique variant: the pattern is the clique with every edge
-    subdivided once, glued at two original clique vertices."""
+    subdivided once, glued at its first non-adjacent pair, clique vertices
+    0 and 1."""
     if clique_size < 3:
         raise ValueError("clique size must be at least 3")
     pattern = subdivide_edges(complete_graph(clique_size))
-    inst = build_double_copy_instance(phi, pattern, 0, 1)
+    inst = build_double_copy_instance(phi, pattern)
     meta = dict(inst.meta)
     meta["construction"] = "subdivided-clique"
     meta["clique_size"] = clique_size
@@ -405,24 +407,15 @@ def build_path_instance(phi: CleanFormula, path_len: int) -> GadgetInstance:
     a_edges, b_edges, ab_edges = _base_layout(phi, b)
     n_base = b.next_id
 
-    def replace_by_path(x: int, y: int, count: int, role: str) -> list[int]:
-        verts = [x]
-        for _ in range(count - 2):
-            verts.append(b.vertex(role))
-        verts.append(y)
-        for p, q in zip(verts, verts[1:]):
-            b.edge(p, q)
-        return verts
-
-    for x, y in a_edges:
-        replace_by_path(x, y, replace_len, "internal-a")
-    for x, y in b_edges:
-        replace_by_path(x, y, replace_len, "internal-b")
+    # an x..y path of c vertices is a path of c - 1 vertices from x, then y
+    for edge_list, role in ((a_edges, "internal-a"), (b_edges, "internal-b")):
+        for x, y in edge_list:
+            b.edge(_attach_path(b, x, replace_len - 1, role)[-1], y)
 
     bases: list[int] = []
     for x, y in ab_edges:
-        verts = replace_by_path(x, y, 3, "internal-ab")
-        z = verts[1]
+        z = _attach_path(b, x, 2, "internal-ab")[1]
+        b.edge(z, y)
         b.roles[z] = "base"
         bases.append(z)
 

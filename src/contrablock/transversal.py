@@ -97,7 +97,9 @@ class Occurrence:
 
 
 def _first_of_length(root, children, length: int):
-    """The first node of the search tree that has ``length`` entries, or None."""
+    """The first node of the search tree that has ``length`` entries, or None.
+    That node is returned before ``children`` is asked for its children, so
+    a ``children`` function here is never called on a full-length node."""
     for node in depth_first(root, children):
         if len(node) == length:
             return node
@@ -123,8 +125,6 @@ def _subgraph_occ(g: Graph, h: Graph, induced: bool, hosts: frozenset[int]) -> t
 
     def children(node):
         i = len(node)
-        if i == len(order):
-            return
         need = h.degree(order[i])
         apart = [node[j] for j in range(i) if j not in linked[i]] if induced else ()
         for hv in sorted(hosts.intersection(*(g.adj[node[j]] for j in linked[i])).difference(node)):
@@ -176,8 +176,6 @@ def _minor_occ(g: Graph, h: Graph, hosts: frozenset[int]) -> tuple[frozenset[int
 
     def children(node):
         i = len(node)
-        if i == len(order):
-            return
         free = hosts.difference(*node)
         for branch in _connected_sets(g, free, len(free) - (len(order) - i - 1)):
             if all(any(g.adj[x] & node[j] for x in branch) for j in linked[i]):
@@ -215,8 +213,6 @@ def _topo_occ(g: Graph, h: Graph, hosts: frozenset[int]):
             for hv in sorted(hosts):
                 if hv not in node and len(g.adj[hv] & hosts) >= h.degree(i):
                     yield node + (hv,)
-            return
-        if i == h.n + len(pedges):
             return
         branches = node[: h.n]
         a, b = pedges[i - h.n]

@@ -1,7 +1,9 @@
 """The shared cascade of ``contraction_vc`` against the code it replaced.
 
 Each ``_reference_*`` function below is the code the library carried
-before ``min_contract_vc`` and ``min_contract_2approx`` shared one cascade:
+before ``min_contract_vc``, ``min_contract_2approx`` and
+``contraction_vc_1`` shared one cascade: ``contraction_vc_1`` answered
+non-bipartite graphs at once and ran the enumeration on the others,
 ``min_contract_vc`` asked ``algorithm1`` for every k in turn,
 ``min_contract_2approx`` wrote the cascade out again, and
 ``two_approx_drop`` solved an induced copy of the component, twice per
@@ -27,15 +29,17 @@ from contrablock.contraction_vc import (
     Decision,
     _component_opt,
     _dp_with_witness,
+    _enumerate,
     _large_component,
     _spanning_forest_witness,
     algorithm1,
+    contraction_vc_1,
     dp_min_contract,
     min_contract_2approx,
     min_contract_vc,
     two_approx_drop,
 )
-from contrablock.graphs import Edge, connected_components, contract_set, cycle_graph, induced_subgraph, path_graph
+from contrablock.graphs import Edge, Graph, bipartition, connected_components, contract_set, cycle_graph, induced_subgraph, path_graph
 from contrablock.vertex_cover import vc_branching, vc_with_modulator
 
 from .conftest import disjoint_union, random_graph
@@ -122,6 +126,15 @@ def _reference_algorithm1(g, k, d):
             modulator = {res.vmap[v] for v in anchors} | merged
             if vc_with_modulator(res.quotient, modulator).size <= target:
                 return Decision(True, f, "enumeration-yes")
+    return Decision(False, None, "enumeration-no")
+
+
+def _reference_contraction_vc_1(g: Graph) -> Decision:
+    if bipartition(g) is None:
+        return Decision(True, lambda: _spanning_forest_witness(g, 1), "bc-large")
+    witness = _enumerate(g, 1, 1, ())
+    if witness is not None:
+        return Decision(True, witness, "enumeration-yes")
     return Decision(False, None, "enumeration-no")
 
 
@@ -245,6 +258,22 @@ def test_algorithm1_matches_reference():
                 assert algorithm1(g, k, d) == want, (g.edges, k, d)
                 traces[want.trace] += 1
     assert all(traces[t] >= 50 for t in traces) and len(traces) == 6, traces
+
+
+def test_contraction_vc_1_matches_reference():
+    """The same answer and witness as the fork, and the same trace except
+    where every component has cover number <= 1: the cascade settles those
+    as small-components before it reaches the enumeration."""
+    rng = random.Random(21)
+    traces = Counter()
+    for _ in range(5000):
+        g = random_graph(rng, rng.randint(0, 9), rng.choice([0.1, 0.2, 0.3, 0.45, 0.6]))
+        new, old = contraction_vc_1(g), _reference_contraction_vc_1(g)
+        assert (new.answer, new.witness) == (old.answer, old.witness), g.edges
+        small = all(vc_branching(g, 1, comp) is not None for comp in connected_components(g))
+        assert new.trace == ("small-components" if small else old.trace), g.edges
+        traces[old.trace, new.trace] += 1
+    assert len(traces) == 5 and min(traces.values()) >= 100, traces
 
 
 @pytest.mark.parametrize("paper_convention", [False, True])

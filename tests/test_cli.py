@@ -9,7 +9,13 @@ import pytest
 import contrablock
 from contrablock import contraction_vc, transversal
 from contrablock.cli import main
-from contrablock.graphs import Graph, serialize_graph
+from contrablock.graphs import Graph, cycle_graph, serialize_graph
+from contrablock.reductions import (
+    build_double_copy_instance,
+    build_subdivided_clique_instance,
+    parse_cnf,
+    serialize_roles,
+)
 
 from .conftest import grid_graph, random_graph
 
@@ -278,6 +284,22 @@ class TestReduceAndVerify:
         report = dict(line.split("=", 1) for line in out.splitlines())
         assert report["vertices"] == "87"
 
+    def test_theorem1_gadget_defaults_to_c4(self, files, capsys, tmp_path):
+        """No --gadget, --gadget c4 and a C4 file give the same bytes: C4
+        glued at its first non-adjacent pair, (0, 2).  The subdivided
+        triangle's first non-adjacent pair is (0, 1)."""
+        c4 = tmp_path / "c4-gadget.gr"
+        c4.write_text(C4)
+        inst = build_double_copy_instance(parse_cnf(PHI0), cycle_graph(4), 0, 2)
+        want = (serialize_graph(inst.graph), serialize_roles(inst))
+        for name, flags in [("none", []), ("c4", ["--gadget", "c4"]), ("file", ["--gadget", str(c4)])]:
+            prefix = tmp_path / name
+            code, out = run(capsys, ["reduce", files["phi0.cnf"], "--theorem", "1", "-o", str(prefix), *flags])
+            assert code == 0 and out.splitlines()[:3] == ["vertices=112", f"edges={inst.graph.m}", "threshold=13"]
+            assert (Path(f"{prefix}.gr").read_text(), Path(f"{prefix}.roles").read_text()) == want, name
+        clique = build_subdivided_clique_instance(parse_cnf(PHI0), 3)
+        assert (clique.meta["u"], clique.meta["v"]) == (0, 1)
+
     def test_reduce_theorem2_requires_clique(self, files, capsys):
         code = main(["reduce", files["phi0.cnf"], "--theorem", "2", "-o", "/tmp/x"])
         assert code == 2
@@ -358,6 +380,20 @@ class TestValueErrorsExitTwo:
     def test_clique_too_small(self, files, capsys):
         argv = ["verify-claims", files["phi0.cnf"], "--theorem", "2", "--clique", "2"]
         self.check(capsys, argv, "clique size must be at least 3")
+
+    def test_theorem3_requires_path(self, files, capsys):
+        self.check(capsys, ["verify-claims", files["phi0.cnf"], "--theorem", "3"],
+                   "--path is required with --theorem 3")
+
+    def test_unknown_family(self, files, capsys):
+        self.check(capsys, ["tau", files["c4.gr"], "--family", "xyz"], "unknown family 'xyz'")
+
+    def test_unreadable_cnf(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cnf"
+        code = main(["verify-claims", str(missing), "--theorem", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: cannot read {missing}: ") and captured.err.count("\n") == 1
 
     def test_path_too_short(self, files, capsys):
         argv = ["verify-claims", files["phi0.cnf"], "--theorem", "3", "--path", "3"]

@@ -122,6 +122,10 @@ class TestComponentOpt:
         with pytest.raises(ValueError):
             component_opt(disjoint_union(path_graph(2), path_graph(2)), 1)
 
+    def test_rejects_negative_drop(self):
+        with pytest.raises(ValueError, match="^drop must be non-negative$"):
+            component_opt(complete_graph(3), -1)
+
     def test_matches_oracle(self):
         rng = random.Random(42)
         for _ in range(40):
@@ -151,6 +155,10 @@ class TestDpMinContract:
     def test_rejects_large_component(self):
         with pytest.raises(ValueError):
             dp_min_contract(complete_graph(4), 1)  # vc = 3 > d
+
+    def test_rejects_negative_drop(self):
+        with pytest.raises(ValueError, match="^drop must be non-negative$"):
+            dp_min_contract(path_graph(3), -1)
 
     def test_full_collapse_across_components(self):
         g = disjoint_union(complete_graph(3), complete_graph(3))
@@ -228,6 +236,15 @@ class TestAlgorithm1:
         with pytest.raises(ValueError):
             Decision(True, None, "nonsense")
 
+    def test_compares_only_with_decisions(self):
+        dec = Decision(False, None, "trivial-no")
+        assert dec != "x" and not dec == "x"
+        assert dec.__eq__("x") is NotImplemented
+
+    def test_repr_shows_the_witness(self):
+        dec = Decision(True, lambda: ((0, 1),), "enumeration-yes")
+        assert repr(dec) == "Decision(answer=True, witness=((0, 1),), trace='enumeration-yes')"
+
 
 def test_yes_witnesses_are_sound():
     rng = random.Random(44)
@@ -250,6 +267,11 @@ class TestBruteMinContract:
         assert brute_min_contract(cycle_graph(4), 1, 1) is None
         g = cycle_graph(5)
         assert brute_min_contract(g, 1, g.m) is not None
+
+    @pytest.mark.parametrize("d,cap,message", [(0, 2, "drop must be positive"), (1, -1, "cap must be non-negative")])
+    def test_refusals(self, d, cap, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            brute_min_contract(path_graph(4), d, cap)
 
     def test_non_bipartite_always_finite_for_single_drop(self):
         rng = random.Random(43)

@@ -317,6 +317,20 @@ class TestGraphCore:
         with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
             Graph.from_edges(3, [(1, 2), *edges])
 
+    @pytest.mark.parametrize("n,edges,message", [
+        (-1, [], r"^vertex count must be non-negative$"),
+        (3, [(0, 3)], r"^vertex out of range in edge \(0, 3\)$"),
+        (3, [(-1, 2)], r"^vertex out of range in edge \(-1, 2\)$"),
+        (3, [(0, 1), (2, 2)], r"^loop at vertex 2$"),
+    ])
+    def test_from_edges_refusals(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(n, edges)
+
+    def test_cycle_needs_three_vertices(self):
+        with pytest.raises(ValueError, match=r"^cycle needs at least 3 vertices$"):
+            cycle_graph(2)
+
     def test_fields_are_n_and_adj(self):
         assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
 

@@ -4,6 +4,7 @@ from collections import defaultdict
 import pytest
 
 from contrablock.graphs import (
+    Edge,
     complete_graph,
     contract_set,
     cycle_graph,
@@ -12,7 +13,12 @@ from contrablock.graphs import (
     subdivide_edges,
 )
 from contrablock.reductions import (
+    ClaimReport,
     CleanFormulaError,
+    GadgetInstance,
+    _attach_path,
+    _base_layout,
+    _Builder,
     brute_force_sat,
     build_base,
     build_double_copy_instance,
@@ -31,6 +37,68 @@ from contrablock.transversal import HitFamily, feedback_vertex_set, find_droppin
 from .conftest import serialize_cnf
 
 PHI0 = clean_formula(2, [(1, 2), (1, -2), (-1, 2)])
+
+
+def _reference_build_path_instance(phi, path_len: int) -> GadgetInstance:
+    """``build_path_instance`` with its own path builder, before it used
+    ``_attach_path`` for the replaced edges."""
+    i = path_len
+    if i < 4:
+        raise ValueError("path pattern needs at least 4 vertices")
+    if i % 2 == 0:
+        replace_len = i // 2 + 1
+        attach_len = i // 2
+    else:
+        replace_len = (i + 1) // 2
+        attach_len = (i + 1) // 2
+
+    b = _Builder()
+    a_edges, b_edges, ab_edges = _base_layout(phi, b)
+    n_base = b.next_id
+
+    def replace_by_path(x: int, y: int, count: int, role: str) -> list[int]:
+        verts = [x]
+        for _ in range(count - 2):
+            verts.append(b.vertex(role))
+        verts.append(y)
+        for p, q in zip(verts, verts[1:]):
+            b.edge(p, q)
+        return verts
+
+    for x, y in a_edges:
+        replace_by_path(x, y, replace_len, "internal-a")
+    for x, y in b_edges:
+        replace_by_path(x, y, replace_len, "internal-b")
+
+    bases: list[int] = []
+    for x, y in ab_edges:
+        verts = replace_by_path(x, y, 3, "internal-ab")
+        z = verts[1]
+        b.roles[z] = "base"
+        bases.append(z)
+
+    for v in range(n_base):
+        _attach_path(b, v, attach_len, "attach")
+
+    pendant_edges: list[Edge] = []
+    for z in bases:
+        s = b.vertex("pendant-root")
+        _attach_path(b, s, i, "pendant")
+        _attach_path(b, s, i, "pendant")
+        b.edge(z, s)
+        pendant_edges.append((min(z, s), max(z, s)))
+
+    return GadgetInstance(
+        b.graph(),
+        b.roles,
+        phi.threshold,
+        {
+            "formula": phi,
+            "construction": "path",
+            "path_len": i,
+            "pendant_edges": pendant_edges,
+        },
+    )
 
 
 def role_kind(tag: str) -> str:
@@ -71,6 +139,29 @@ class TestCleanValidation:
     def test_parse_cnf_rejects_bad_header(self):
         with pytest.raises(CleanFormulaError):
             parse_cnf("p cnf 2\n1 2 0\n")
+
+    def test_parse_cnf_skips_comments_and_blank_lines(self):
+        assert parse_cnf("c a comment\n\n" + serialize_cnf(PHI0) + "\nc trailing\n") == PHI0
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 2 0\np cnf 2 3\n1 -2 0\n-1 2 0\n", "clause before 'p cnf' line"),
+        ("c no header\n", "missing 'p cnf' line"),
+        ("p cnf 2 3\n1 2 0\n1 -2 0\n-1 2\n", "unterminated final clause (missing 0)"),
+        ("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n", "header announced 4 clauses, found 3"),
+    ])
+    def test_parse_cnf_refusals(self, text, message):
+        with pytest.raises(CleanFormulaError) as err:
+            parse_cnf(text)
+        assert err.value.violations == [message]
+
+    @pytest.mark.parametrize("n,clauses,message", [
+        (0, [], "formula must have at least one variable"),
+        (2, [(1, 2), (1, -3), (-1, 2)], "clause 2 has out-of-range literal -3"),
+        (2, [(1, 0), (1, -2), (-1, 2)], "clause 1 has out-of-range literal 0"),
+        (2, [(-1, 2), (-1, 2), (-1, -2)], "variable 1 never occurs positively"),
+    ])
+    def test_validate_clean_refusals(self, n, clauses, message):
+        assert message in validate_clean(n, clauses)
 
     def test_parse_cnf_rejects_non_integers(self):
         with pytest.raises(CleanFormulaError, match="non-integer header field 'x'"):
@@ -195,6 +286,10 @@ class TestDoubleCopyConstruction:
         inst = build_double_copy_instance(PHI0, cycle_graph(4))
         assert (inst.meta["u"], inst.meta["v"]) == (0, 2)
 
+    def test_rejects_one_attachment_vertex_twice(self):
+        with pytest.raises(ValueError, match="attachment vertices must be two distinct pattern vertices"):
+            build_double_copy_instance(PHI0, cycle_graph(4), 1, 1)
+
     def test_degree_bound(self):
         pattern = cycle_graph(4)
         inst = build_double_copy_instance(PHI0, pattern, 0, 2)
@@ -305,6 +400,17 @@ class TestPathConstruction:
         with pytest.raises(ValueError):
             build_path_instance(PHI0, 3)
 
+    def test_matches_reference(self):
+        formulas = [phi for n in (1, 2) for phi in enumerate_clean_formulas(n)]
+        assert len(formulas) == 8
+        for phi in formulas:
+            for path_len in range(4, 9):
+                new = build_path_instance(phi, path_len)
+                old = _reference_build_path_instance(phi, path_len)
+                assert serialize_graph(new.graph) == serialize_graph(old.graph)
+                assert serialize_roles(new) == serialize_roles(old)
+                assert new.meta == old.meta
+
 
 class TestVerifyClaims:
     def test_phi0_report(self):
@@ -346,10 +452,26 @@ class TestVerifyClaims:
         fam = default_family(build_path_instance(PHI0, 4))
         assert not fam.symbolic and fam.patterns[0].n == 4
 
+    @pytest.mark.parametrize("build,pattern", [
+        (lambda: build_double_copy_instance(PHI0, cycle_graph(5)), cycle_graph(5)),
+        (lambda: build_subdivided_clique_instance(PHI0, 4), subdivide_edges(complete_graph(4))),
+    ])
+    def test_default_family_is_explicit_for_other_patterns(self, build, pattern):
+        fam = default_family(build())
+        assert (fam.relation, fam.patterns) == ("subgraph", (pattern,))
+
+    def test_default_family_refuses_the_base_graph(self):
+        with pytest.raises(ValueError, match="no verification family for construction 'base'"):
+            default_family(build_base(PHI0))
+
     def test_report_lines(self):
         inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
         lines = verify_claims(inst, sample_edges=5).as_lines()
         assert "sat=true" in lines and "tau=13" in lines and "claim1=pass" in lines
+
+    def test_report_lines_name_the_dropping_and_failing_edges(self):
+        report = ClaimReport(False, None, 5, 4, True, "fail", "fail", "pass", 3, "full", (0, 2), (1, 5))
+        assert report.as_lines()[-2:] == ["dropping_edge=0-2", "failing_edge=1-5"]
 
 
 class TestRoleFile:

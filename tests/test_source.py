@@ -226,3 +226,19 @@ def test_no_orphaned_private_helpers():
         if not any(name in seen for _, other, seen in tops if other is not node)
     ]
     assert not orphans, "private helpers nothing else uses: " + ", ".join(orphans)
+
+
+def test_exports_are_the_imports_and_each_is_used():
+    # ``__all__`` lists exactly what ``__init__`` imports, and each exported
+    # name is mentioned somewhere in the library, the tests or the benchmark
+    # outside ``__init__``; an export nothing mentions is dead
+    init = SRC / "__init__.py"
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert sorted(contrablock.__all__) == sorted(imported)
+    root = SRC.parents[1]
+    paths = [p for d in (SRC, root / "tests", root / "bench") for p in sorted(d.rglob("*.py")) if p != init]
+    seen = set().union(*(_mentions(ast.parse(p.read_text(encoding="utf-8"))) for p in paths))
+    unused = sorted(imported - seen)
+    assert not unused, "exports nothing outside __init__ uses: " + ", ".join(unused)

@@ -207,6 +207,11 @@ class TestBipartite:
             g = random_bipartite_graph(rng, 2, 10)
             assert vc_bipartite(g) == vc_bipartite(g)
 
+    def test_matching_skips_a_repeated_left_vertex(self):
+        g = path_graph(4)
+        match = vertex_cover.maximum_matching(g, [0, 0, 2, 2])
+        assert match == vertex_cover.maximum_matching(g, [0, 2]) == {0: 1, 1: 0, 2: 3, 3: 2}
+
     def test_koenig_self_check_raises(self, monkeypatch):
         # a matching smaller than the cover must fail loudly, also under python -O
         monkeypatch.setattr(vertex_cover, "maximum_matching", lambda g, left, allowed=None: {})
