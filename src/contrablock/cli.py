@@ -32,7 +32,7 @@ def _load(path: str, parse):
             return parse(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (GraphFormatError, reductions.CleanFormulaError) as exc:
+    except (GraphFormatError, reductions.CleanFormulaError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 

@@ -283,7 +283,7 @@ def _first_nonadjacent_pair(h: Graph) -> tuple[int, int]:
         for v in range(u + 1, h.n):
             if not h.has_edge(u, v):
                 return u, v
-    raise ValueError("pattern is complete: no non-adjacent pair exists")
+    raise ValueError("pattern must not be complete")
 
 
 def _place_copy(builder: _Builder, h: Graph, ends: dict[int, int], role: str) -> list[int]:
@@ -298,23 +298,13 @@ def _place_copy(builder: _Builder, h: Graph, ends: dict[int, int], role: str) ->
     return [image[pv] for pv in range(h.n)]
 
 
-def build_double_copy_instance(
-    phi: CleanFormula, pattern: Graph, u: int | None = None, v: int | None = None
-) -> GadgetInstance:
-    """Replace same-side base edges by two copies of the pattern glued at two
-    non-adjacent vertices u and v (by default the first such pair in index
-    order), cross edges by one copy, and hang a doubled pendant copy from
-    each cross copy's base vertex."""
+def build_double_copy_instance(phi: CleanFormula, pattern: Graph) -> GadgetInstance:
+    """Replace same-side base edges by two copies of the pattern glued at
+    its first non-adjacent pair u, v in index order, cross edges by one copy,
+    and hang a doubled pendant copy from each cross copy's base vertex."""
     if not is_two_connected(pattern):
         raise ValueError("pattern must be 2-connected")
-    if pattern.m == pattern.n * (pattern.n - 1) // 2:
-        raise ValueError("pattern must not be complete")
-    if u is None or v is None:
-        u, v = _first_nonadjacent_pair(pattern)
-    if not (0 <= u < pattern.n and 0 <= v < pattern.n) or u == v:
-        raise ValueError("attachment vertices must be two distinct pattern vertices")
-    if pattern.has_edge(u, v):
-        raise ValueError("attachment vertices must be non-adjacent")
+    u, v = _first_nonadjacent_pair(pattern)
 
     b = _Builder()
     a_edges, b_edges, ab_edges = _base_layout(phi, b)
@@ -329,15 +319,11 @@ def build_double_copy_instance(
                 seq += 1
 
     # Base vertex: the lowest-index internal of each cross copy.
-    cross_copies = [c for c in copies if c["kind"] == "ab"]
     pendant_edges: list[Edge] = []
-    for copy in cross_copies:
-        internals = sorted(set(copy["vertices"]) - set(copy["attach"]))
-        z = internals[0]
+    for copy in [c for c in copies if c["kind"] == "ab"]:
+        z = min(set(copy["vertices"]) - set(copy["attach"]))
         b.roles[z] = f"base:copy{copy['seq']}"
         copy["base"] = z
-    for copy in cross_copies:
-        z = copy["base"]
         s = b.vertex(f"pendant-root:copy{copy['seq']}")
         for _ in range(2):
             verts = _place_copy(b, pattern, {u: s}, f"pendant:copy{copy['seq']}")
@@ -368,65 +354,46 @@ def build_subdivided_clique_instance(phi: CleanFormula, clique_size: int) -> Gad
     0 and 1."""
     if clique_size < 3:
         raise ValueError("clique size must be at least 3")
-    pattern = subdivide_edges(complete_graph(clique_size))
-    inst = build_double_copy_instance(phi, pattern)
-    meta = dict(inst.meta)
-    meta["construction"] = "subdivided-clique"
-    meta["clique_size"] = clique_size
-    return GadgetInstance(inst.graph, inst.roles, inst.threshold, meta)
-
-
-def _attach_path(builder: _Builder, anchor: int, length: int, role: str) -> list[int]:
-    """Append a path of ``length`` vertices whose first vertex is ``anchor``."""
-    verts = [anchor]
-    for _ in range(length - 1):
-        w = builder.vertex(role)
-        builder.edge(verts[-1], w)
-        verts.append(w)
-    return verts
+    inst = build_double_copy_instance(phi, subdivide_edges(complete_graph(clique_size)))
+    inst.meta.update(construction="subdivided-clique", clique_size=clique_size)
+    return inst
 
 
 def build_path_instance(phi: CleanFormula, path_len: int) -> GadgetInstance:
-    """The path variant for a path pattern on path_len >= 4 vertices.
+    """The path variant for a path pattern on i = path_len >= 4 vertices.
 
-    Same-side base edges become paths (length by parity), every base A/B
-    vertex gets an attached path, cross edges become three-vertex paths whose
-    middle vertex carries a doubled pendant path.
+    Same-side base edges become paths of i // 2 + 1 vertices, every base A/B
+    vertex gets an attached path of (i + 1) // 2 vertices, and cross edges
+    become three-vertex paths whose middle vertex carries two pendant paths
+    of i vertices from one root.
     """
     i = path_len
     if i < 4:
         raise ValueError("path pattern needs at least 4 vertices")
-    if i % 2 == 0:
-        replace_len = i // 2 + 1
-        attach_len = i // 2
-    else:
-        replace_len = (i + 1) // 2
-        attach_len = (i + 1) // 2
+    replaced, cross, attached, pendant = (path_graph(c) for c in (i // 2 + 1, 3, (i + 1) // 2, i))
 
     b = _Builder()
     a_edges, b_edges, ab_edges = _base_layout(phi, b)
     n_base = b.next_id
 
-    # an x..y path of c vertices is a path of c - 1 vertices from x, then y
     for edge_list, role in ((a_edges, "internal-a"), (b_edges, "internal-b")):
         for x, y in edge_list:
-            b.edge(_attach_path(b, x, replace_len - 1, role)[-1], y)
+            _place_copy(b, replaced, {0: x, replaced.n - 1: y}, role)
 
     bases: list[int] = []
     for x, y in ab_edges:
-        z = _attach_path(b, x, 2, "internal-ab")[1]
-        b.edge(z, y)
+        z = _place_copy(b, cross, {0: x, 2: y}, "internal-ab")[1]
         b.roles[z] = "base"
         bases.append(z)
 
     for v in range(n_base):
-        _attach_path(b, v, attach_len, "attach")
+        _place_copy(b, attached, {0: v}, "attach")
 
     pendant_edges: list[Edge] = []
     for z in bases:
         s = b.vertex("pendant-root")
-        _attach_path(b, s, i, "pendant")
-        _attach_path(b, s, i, "pendant")
+        _place_copy(b, pendant, {0: s}, "pendant")
+        _place_copy(b, pendant, {0: s}, "pendant")
         b.edge(z, s)
         pendant_edges.append((min(z, s), max(z, s)))
 

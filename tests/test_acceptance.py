@@ -242,13 +242,13 @@ def test_c07_two_approximation_guarantee():
 
 
 def test_c08_threshold_equivalence_over_clean_sweep():
-    inst0 = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+    inst0 = build_double_copy_instance(PHI0, cycle_graph(4))
     assert feedback_vertex_set(inst0.graph)[0] == 13 == 8 * PHI0.n - PHI0.m
 
     sat_seen = unsat_seen = 0
     for n in (2, 3):
         for phi in enumerate_clean_formulas(n):
-            inst = build_double_copy_instance(phi, cycle_graph(4), 0, 2)
+            inst = build_double_copy_instance(phi, cycle_graph(4))
             tau = feedback_vertex_set(inst.graph)[0]
             satisfiable = brute_force_sat(phi) is not None
             assert tau >= phi.threshold, phi.clauses
@@ -267,7 +267,7 @@ def test_c08_threshold_equivalence_over_clean_sweep():
             if quota == 0:
                 continue
             quota -= 1
-        inst = build_double_copy_instance(phi, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(phi, cycle_graph(4))
         tau = feedback_vertex_set(inst.graph)[0]
         assert tau >= phi.threshold, phi.clauses
         assert (tau == phi.threshold) == satisfiable, phi.clauses
@@ -290,13 +290,13 @@ def _first_unsat_clean_formula():
 def test_c09_contraction_claims():
     fam = HitFamily.feedback_vertex_set()
 
-    inst0 = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+    inst0 = build_double_copy_instance(PHI0, cycle_graph(4))
     report = verify_claims(inst0, full_scan=True)
     assert report.tau == report.threshold
     assert report.claim2 == "pass" and report.scanned_edges == inst0.graph.m
 
     unsat = _first_unsat_clean_formula()
-    inst1 = build_double_copy_instance(unsat, cycle_graph(4), 0, 2)
+    inst1 = build_double_copy_instance(unsat, cycle_graph(4))
     tau = feedback_vertex_set(inst1.graph)[0]
     assert tau > inst1.threshold
     edge = find_dropping_edge(inst1.graph, fam)
@@ -311,7 +311,7 @@ def test_c09_contraction_claims():
 
 def test_c10_subdivided_clique_consistency():
     via_clique = build_subdivided_clique_instance(PHI0, 3)
-    direct = build_double_copy_instance(PHI0, subdivide_edges(complete_graph(3)), 0, 1)
+    direct = build_double_copy_instance(PHI0, subdivide_edges(complete_graph(3)))
     assert serialize_graph(via_clique.graph) == serialize_graph(direct.graph)
 
     # truncate to pairwise disjoint gadget copies so the subinstance keeps

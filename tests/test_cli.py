@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -290,7 +291,7 @@ class TestReduceAndVerify:
         triangle's first non-adjacent pair is (0, 1)."""
         c4 = tmp_path / "c4-gadget.gr"
         c4.write_text(C4)
-        inst = build_double_copy_instance(parse_cnf(PHI0), cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(parse_cnf(PHI0), cycle_graph(4))
         want = (serialize_graph(inst.graph), serialize_roles(inst))
         for name, flags in [("none", []), ("c4", ["--gadget", "c4"]), ("file", ["--gadget", str(c4)])]:
             prefix = tmp_path / name
@@ -299,6 +300,48 @@ class TestReduceAndVerify:
             assert (Path(f"{prefix}.gr").read_text(), Path(f"{prefix}.roles").read_text()) == want, name
         clique = build_subdivided_clique_instance(parse_cnf(PHI0), 3)
         assert (clique.meta["u"], clique.meta["v"]) == (0, 1)
+
+    # sha256 of the files ``reduce`` writes for two fixed formulas, so a
+    # builder change that moves one gadget byte fails here
+    GADGET_DIGESTS = {
+        ("phi0", "t1"): ("2339d5db7a4d438fce25a97fd3333a86f7b83f8a9bb11241997cc01e98eb0919",
+                         "3a0833d6464534c608ea87c27dfff775c68a43bf7fac0615b37dbc891fc80eb0"),
+        ("phi0", "t2c3"): ("9c6e681e69467837008d5bcf7f645349d56269e8c07e669508d1c3aad3a0bf6b",
+                           "cf2181b5d4104a1e478c1156d3dcb71549f2ef886247fbe167d04bd66de124d8"),
+        ("phi0", "t2c4"): ("9da80f454220dd31490faf5a77bb7a35d6cd997704a3f16e57ccdd8a2a29c0d5",
+                           "348c6397b96a9ae5b487c162c2731952481a1fb1d4300715f41bcc6cbf5093e8"),
+        ("phi0", "t3p4"): ("ec3be6e7a91f4145165492f3b5b95a1ac8c9e2c49f587e8e3fc6d284228731bb",
+                           "cc2ebe7abd3fd5f8d3a2b2296e0d17efdd7e12a25c1465a33d1b8c42c3c55a18"),
+        ("phi0", "t3p5"): ("72facfd5af08b701dc7e9bba55ff6a7bbb5ff47c2b987c3ad72e4a78dfb4fc71",
+                           "43f786cd5ec3e38cea8534090ed7e10ea24b3c0522eaff70d1431b54d5d72844"),
+        ("unsat4", "t1"): ("57727934cbee2bddf8d42ac1398ca8c323e0fbe86d0fe31095c247ba342ee089",
+                           "2a45e72eb12bf1bb5a9e212f89a41ea74e99b0c1653ce11f3e0eff72256bbc40"),
+        ("unsat4", "t2c3"): ("8d83b050e94ab7ebfe54a6b079f3b429fbced4841d3cef2d1f363717fe4972fb",
+                             "57fe4e55c66e3be3e27b7c622aabf749ff2bd73a2f34185d283404b5b3c26432"),
+        ("unsat4", "t2c4"): ("cdc6bbbbd74de961b1768932c4f4528fe3fe7ff880ea1be589f2984c7630a368",
+                             "8534de7850f0ad909d3e81fb21564296e385292d41e06d22a4f8458c60e593fb"),
+        ("unsat4", "t3p4"): ("2cc0107d7627f5c413eb19b9dc5298ab6273c852fd6dff0ca7a4c788d84aa133",
+                             "6fc2f708d2ea985c848e236a96ebf77c8093399be1f0389f0b332825cf7edf8f"),
+        ("unsat4", "t3p5"): ("bef63060bebedca20a2a19a73e15f101644a5328431a567ff355bc9d2dc31bd1",
+                             "2b7205f80be4e7df163465098822404ff8be3040e6c82c4b6434b93ee212f67b"),
+    }
+    GADGET_FLAGS = {
+        "t1": ["--theorem", "1"],
+        "t2c3": ["--theorem", "2", "--clique", "3"],
+        "t2c4": ["--theorem", "2", "--clique", "4"],
+        "t3p4": ["--theorem", "3", "--path", "4"],
+        "t3p5": ["--theorem", "3", "--path", "5"],
+    }
+
+    @pytest.mark.parametrize("formula,case", sorted(GADGET_DIGESTS))
+    def test_reduce_bytes_are_pinned(self, capsys, tmp_path, formula, case):
+        cnf = tmp_path / f"{formula}.cnf"
+        cnf.write_text({"phi0": PHI0, "unsat4": UNSAT4}[formula])
+        prefix = tmp_path / case
+        code, _ = run(capsys, ["reduce", str(cnf), *self.GADGET_FLAGS[case], "-o", str(prefix)])
+        assert code == 0
+        got = tuple(hashlib.sha256(Path(f"{prefix}{ext}").read_bytes()).hexdigest() for ext in (".gr", ".roles"))
+        assert got == self.GADGET_DIGESTS[formula, case]
 
     def test_reduce_theorem2_requires_clique(self, files, capsys):
         code = main(["reduce", files["phi0.cnf"], "--theorem", "2", "-o", "/tmp/x"])
@@ -434,6 +477,19 @@ class TestValueErrorsExitTwo:
         bad = tmp_path / "bad.cnf"
         bad.write_text(text)
         self.check(capsys, ["verify-claims", str(bad), "--theorem", "1"], f"{bad}: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["vc", "{bad}"],
+        ["verify-claims", "{bad}", "--theorem", "1"],
+        ["tau", "{c4}", "--family", "pattern:{bad}"],
+        ["verify-claims", "{phi0}", "--theorem", "1", "--gadget", "{bad}"],
+    ], ids=["graph", "cnf", "pattern", "gadget"])
+    def test_non_utf8_file_names_the_file(self, files, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"4 3\n0 \xff1\n")
+        paths = {"bad": str(bad), "c4": files["c4.gr"], "phi0": files["phi0.cnf"]}
+        message = f"{bad}: 'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"
+        self.check(capsys, [arg.format(**paths) for arg in argv], message)
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sample_edges_below_one(self, files, capsys, count):

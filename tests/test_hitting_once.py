@@ -395,7 +395,7 @@ def shared_occurrences(monkeypatch):
 
 
 GADGETS = {
-    1: lambda phi: build_double_copy_instance(phi, cycle_graph(4), 0, 2),
+    1: lambda phi: build_double_copy_instance(phi, cycle_graph(4)),
     2: lambda phi: build_subdivided_clique_instance(phi, 3),
     3: lambda phi: build_path_instance(phi, 4),
 }

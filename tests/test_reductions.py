@@ -1,14 +1,18 @@
 import random
 from collections import defaultdict
+from itertools import islice
 
 import pytest
 
 from contrablock.graphs import (
     Edge,
+    Graph,
     complete_graph,
     contract_set,
     cycle_graph,
     induced_subgraph,
+    is_two_connected,
+    path_graph,
     serialize_graph,
     subdivide_edges,
 )
@@ -16,9 +20,10 @@ from contrablock.reductions import (
     ClaimReport,
     CleanFormulaError,
     GadgetInstance,
-    _attach_path,
     _base_layout,
     _Builder,
+    _first_nonadjacent_pair,
+    _place_copy,
     brute_force_sat,
     build_base,
     build_double_copy_instance,
@@ -37,6 +42,78 @@ from contrablock.transversal import HitFamily, feedback_vertex_set, find_droppin
 from .conftest import serialize_cnf
 
 PHI0 = clean_formula(2, [(1, 2), (1, -2), (-1, 2)])
+
+
+def _reference_build_double_copy_instance(
+    phi, pattern: Graph, u: int | None = None, v: int | None = None
+) -> GadgetInstance:
+    """``build_double_copy_instance`` as it was while it took the attachment
+    pair as optional parameters and checked it."""
+    if not is_two_connected(pattern):
+        raise ValueError("pattern must be 2-connected")
+    if pattern.m == pattern.n * (pattern.n - 1) // 2:
+        raise ValueError("pattern must not be complete")
+    if u is None or v is None:
+        u, v = _first_nonadjacent_pair(pattern)
+    if not (0 <= u < pattern.n and 0 <= v < pattern.n) or u == v:
+        raise ValueError("attachment vertices must be two distinct pattern vertices")
+    if pattern.has_edge(u, v):
+        raise ValueError("attachment vertices must be non-adjacent")
+
+    b = _Builder()
+    a_edges, b_edges, ab_edges = _base_layout(phi, b)
+
+    copies: list[dict] = []
+    seq = 0
+    for kind, edge_list, fold in (("a", a_edges, 2), ("b", b_edges, 2), ("ab", ab_edges, 1)):
+        for x, y in edge_list:
+            for _ in range(fold):
+                verts = _place_copy(b, pattern, {u: x, v: y}, f"internal-{kind}:copy{seq}")
+                copies.append({"kind": kind, "attach": (x, y), "vertices": verts, "seq": seq})
+                seq += 1
+
+    # Base vertex: the lowest-index internal of each cross copy.
+    cross_copies = [c for c in copies if c["kind"] == "ab"]
+    pendant_edges: list[Edge] = []
+    for copy in cross_copies:
+        internals = sorted(set(copy["vertices"]) - set(copy["attach"]))
+        z = internals[0]
+        b.roles[z] = f"base:copy{copy['seq']}"
+        copy["base"] = z
+    for copy in cross_copies:
+        z = copy["base"]
+        s = b.vertex(f"pendant-root:copy{copy['seq']}")
+        for _ in range(2):
+            verts = _place_copy(b, pattern, {u: s}, f"pendant:copy{copy['seq']}")
+            copies.append({"kind": "pendant", "attach": (s,), "vertices": verts, "seq": seq})
+            seq += 1
+        b.edge(z, s)
+        pendant_edges.append((min(z, s), max(z, s)))
+
+    return GadgetInstance(
+        b.graph(),
+        b.roles,
+        phi.threshold,
+        {
+            "formula": phi,
+            "construction": "double-copy",
+            "pattern": pattern,
+            "u": u,
+            "v": v,
+            "copies": copies,
+            "pendant_edges": pendant_edges,
+        },
+    )
+
+
+def _attach_path(builder: _Builder, anchor: int, length: int, role: str) -> list[int]:
+    """Append a path of ``length`` vertices whose first vertex is ``anchor``."""
+    verts = [anchor]
+    for _ in range(length - 1):
+        w = builder.vertex(role)
+        builder.edge(verts[-1], w)
+        verts.append(w)
+    return verts
 
 
 def _reference_build_path_instance(phi, path_len: int) -> GadgetInstance:
@@ -226,13 +303,13 @@ class TestBaseConstruction:
 
 class TestDoubleCopyConstruction:
     def test_phi0_c4_counts(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         assert inst.graph.n == 112
         assert inst.graph.m == 166
         assert inst.threshold == 13
 
     def test_role_census(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         kinds = defaultdict(int)
         for tag in inst.roles.values():
             kinds[role_kind(tag)] += 1
@@ -247,7 +324,7 @@ class TestDoubleCopyConstruction:
         assert sum(1 for c in copies if c["kind"] == "pendant") == 6 * n
 
     def test_internal_degrees(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         g = inst.graph
         for v, tag in inst.roles.items():
             kind = role_kind(tag)
@@ -261,43 +338,35 @@ class TestDoubleCopyConstruction:
                 assert g.degree(v) == 5, (v, tag)
 
     def test_pendant_edges_bridge_base_to_root(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         for z, s in inst.meta["pendant_edges"]:
             tags = {role_kind(inst.roles[z]), role_kind(inst.roles[s])}
             assert tags == {"base", "pendant-root"}
 
     def test_determinism(self):
-        a = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
-        b = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        a = build_double_copy_instance(PHI0, cycle_graph(4))
+        b = build_double_copy_instance(PHI0, cycle_graph(4))
         assert serialize_graph(a.graph) == serialize_graph(b.graph)
         assert serialize_roles(a) == serialize_roles(b)
 
     def test_rejects_bad_patterns(self):
         with pytest.raises(ValueError):
             build_double_copy_instance(PHI0, complete_graph(4))  # complete
-        from contrablock.graphs import path_graph
-
         with pytest.raises(ValueError):
             build_double_copy_instance(PHI0, path_graph(4))  # not 2-connected
-        with pytest.raises(ValueError):
-            build_double_copy_instance(PHI0, cycle_graph(4), 0, 1)  # adjacent
 
     def test_default_attachment_pair(self):
         inst = build_double_copy_instance(PHI0, cycle_graph(4))
         assert (inst.meta["u"], inst.meta["v"]) == (0, 2)
 
-    def test_rejects_one_attachment_vertex_twice(self):
-        with pytest.raises(ValueError, match="attachment vertices must be two distinct pattern vertices"):
-            build_double_copy_instance(PHI0, cycle_graph(4), 1, 1)
-
     def test_degree_bound(self):
         pattern = cycle_graph(4)
-        inst = build_double_copy_instance(PHI0, pattern, 0, 2)
+        inst = build_double_copy_instance(PHI0, pattern)
         max_deg = max(inst.graph.degree(v) for v in range(inst.graph.n))
         assert max_deg <= 5 * max(pattern.degree(v) for v in range(pattern.n))
 
     def test_threshold_lower_bound(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         assert feedback_vertex_set(inst.graph)[0] >= inst.threshold
 
 
@@ -340,7 +409,7 @@ def surviving_copy_count(inst, contracted_edge) -> int:
 
 class TestDoubleCopyRobustness:
     def test_every_contraction_leaves_disjoint_copies(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         n = PHI0.n
         rng = random.Random(99)
         edges = inst.graph.sorted_edges()
@@ -352,7 +421,7 @@ class TestDoubleCopyRobustness:
 class TestSubdividedClique:
     def test_equals_double_copy_with_subdivided_pattern(self):
         via_clique = build_subdivided_clique_instance(PHI0, 3)
-        direct = build_double_copy_instance(PHI0, subdivide_edges(complete_graph(3)), 0, 1)
+        direct = build_double_copy_instance(PHI0, subdivide_edges(complete_graph(3)))
         assert serialize_graph(via_clique.graph) == serialize_graph(direct.graph)
         assert serialize_roles(via_clique) == serialize_roles(direct)
 
@@ -414,7 +483,7 @@ class TestPathConstruction:
 
 class TestVerifyClaims:
     def test_phi0_report(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         report = verify_claims(inst)
         assert report.sat and report.tau == 13 and report.threshold == 13
         assert report.lower_bound_ok
@@ -424,14 +493,14 @@ class TestVerifyClaims:
         assert report.scan_mode == "full" and report.scanned_edges == inst.graph.m
 
     def test_sampled_scan(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         report = verify_claims(inst, sample_edges=10)
         assert report.claim2 == "pass" and report.scan_mode.startswith("sample:")
         assert report.scanned_edges <= 10
 
     def test_claim_three_above_the_threshold(self):
         unsat = next(phi for phi in enumerate_clean_formulas(4) if brute_force_sat(phi) is None)
-        inst = build_double_copy_instance(unsat, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(unsat, cycle_graph(4))
         report = verify_claims(inst)
         assert not report.sat and report.tau > report.threshold
         assert report.claim1 == "pass" and report.claim3 == "pass"
@@ -442,7 +511,7 @@ class TestVerifyClaims:
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_sample_edges_below_one(self, count):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         with pytest.raises(ValueError, match="at least 1"):
             verify_claims(inst, sample_edges=count)
 
@@ -465,7 +534,7 @@ class TestVerifyClaims:
             default_family(build_base(PHI0))
 
     def test_report_lines(self):
-        inst = build_double_copy_instance(PHI0, cycle_graph(4), 0, 2)
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
         lines = verify_claims(inst, sample_edges=5).as_lines()
         assert "sat=true" in lines and "tau=13" in lines and "claim1=pass" in lines
 
@@ -481,3 +550,56 @@ class TestRoleFile:
         assert len(lines) == inst.graph.n
         idx, tag = lines[0].split(" ", 1)
         assert idx == "0" and tag == inst.roles[0]
+
+
+def _same_instance(new: GadgetInstance, old: GadgetInstance) -> None:
+    assert serialize_graph(new.graph) == serialize_graph(old.graph)
+    assert serialize_roles(new) == serialize_roles(old)
+    assert list(new.meta.items()) == list(old.meta.items())
+    assert new.threshold == old.threshold
+    assert default_family(new) == default_family(old)
+
+
+class TestReferenceBuilders:
+    """Every builder against its reference copy on 33 formulas (all 8 with
+    n = 2, the first 25 with n = 3) and 15 gadgets each: 495 instances."""
+
+    FORMULAS = list(enumerate_clean_formulas(2)) + list(islice(enumerate_clean_formulas(3), 25))
+    PATTERNS = (
+        cycle_graph(4),
+        cycle_graph(5),
+        cycle_graph(6),
+        Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),  # K2,3
+        subdivide_edges(complete_graph(4)),
+    )
+
+    def test_formula_set(self):
+        assert len(self.FORMULAS) == 33 and {phi.n for phi in self.FORMULAS} == {2, 3}
+
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=["c4", "c5", "c6", "k23", "sub-k4"])
+    def test_double_copy(self, pattern):
+        for phi in self.FORMULAS:
+            _same_instance(
+                build_double_copy_instance(phi, pattern),
+                _reference_build_double_copy_instance(phi, pattern),
+            )
+
+    @pytest.mark.parametrize("size", (3, 4, 5))
+    def test_subdivided_clique(self, size):
+        for phi in self.FORMULAS:
+            old = _reference_build_double_copy_instance(phi, subdivide_edges(complete_graph(size)))
+            old.meta.update(construction="subdivided-clique", clique_size=size)
+            _same_instance(build_subdivided_clique_instance(phi, size), old)
+
+    @pytest.mark.parametrize("path_len", range(4, 11))
+    def test_path(self, path_len):
+        for phi in self.FORMULAS:
+            _same_instance(
+                build_path_instance(phi, path_len), _reference_build_path_instance(phi, path_len)
+            )
+
+    def test_refusals_match(self):
+        for pattern, message in ((complete_graph(4), "must not be complete"), (path_graph(4), "2-connected")):
+            for build in (build_double_copy_instance, _reference_build_double_copy_instance):
+                with pytest.raises(ValueError, match=message):
+                    build(PHI0, pattern)
