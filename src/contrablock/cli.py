@@ -22,18 +22,14 @@ class BudgetExceeded(Exception):
     pass
 
 
-class InputError(Exception):
-    pass
-
-
 def _load(path: str, parse):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except (GraphFormatError, reductions.CleanFormulaError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _edge_list(edges) -> str:
@@ -58,9 +54,9 @@ def _parse_family(name: str, relation: str) -> transversal.HitFamily:
         pattern = _load(name.split(":", 1)[1], parse_graph)
         return transversal.HitFamily.explicit([pattern], relation)
     if name not in _SYMBOLIC_FAMILIES:
-        raise InputError(f"unknown family {name!r}")
+        raise ValueError(f"unknown family {name!r}")
     if relation != "subgraph":
-        raise InputError(f"--relation applies to pattern: families only, not to {name!r}")
+        raise ValueError(f"--relation applies to pattern: families only, not to {name!r}")
     return _SYMBOLIC_FAMILIES[name]()
 
 
@@ -72,35 +68,33 @@ _RELATIONS = {
 }
 
 
-def _cmd_vc(args) -> int:
+def _cmd_vc(args) -> None:
     g = _load(args.graph, parse_graph)
     if args.modulator is not None:
         try:
             mod = [int(t) for t in args.modulator.split(",")] if args.modulator else []
         except ValueError:
-            raise InputError(f"bad modulator {args.modulator!r}, expected V,V,...") from None
+            raise ValueError(f"bad modulator {args.modulator!r}, expected V,V,...") from None
         res = vertex_cover.vc_with_modulator(g, mod)
     elif args.bipartite:
         res = vertex_cover.vc_bipartite(g)
     else:
         res = vertex_cover.vc_branching(g)
     _print_set(res.cover)
-    return EXIT_OK
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args) -> None:
     g = _load(args.graph, parse_graph)
     fam = _parse_family(args.family, _RELATIONS[args.relation])
     if args.budget is not None and args.budget < 0:
-        raise InputError("budget must be non-negative")
+        raise ValueError("budget must be non-negative")
     res = transversal.min_transversal(g, fam, budget=args.budget)
     if res is None:
         raise BudgetExceeded(f"hitting number exceeds budget {args.budget}")
     _print_set(res[1])
-    return EXIT_OK
 
 
-def _cmd_bc(args) -> int:
+def _cmd_bc(args) -> None:
     g = _load(args.graph, parse_graph)
     witness = bipartite_contraction.bc_decide(g, args.max)
     if witness is None:
@@ -109,21 +103,19 @@ def _cmd_bc(args) -> int:
         print("YES")
         if witness:
             print(_edge_list(witness))
-    return EXIT_OK
 
 
-def _cmd_contract_vc(args) -> int:
+def _cmd_contract_vc(args) -> None:
     g = _load(args.graph, parse_graph)
     decision = contraction_vc.algorithm1(g, args.k, args.d)
     print("YES" if decision.answer else "NO")
     if decision.answer and args.witness and decision.witness:
         print(_edge_list(decision.witness))
-    return EXIT_OK
 
 
-def _cmd_min_contract_vc(args) -> int:
+def _cmd_min_contract_vc(args) -> None:
     if args.cap is not None and not args.brute:
-        raise InputError("--cap needs --brute")
+        raise ValueError("--cap needs --brute")
     g = _load(args.graph, parse_graph)
     if args.brute:
         cap = args.cap if args.cap is not None else g.m
@@ -135,10 +127,9 @@ def _cmd_min_contract_vc(args) -> int:
     else:
         res = contraction_vc.min_contract_vc(g, args.d, args.paper_convention)
     print("INFEASIBLE" if res is None else res)
-    return EXIT_OK
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> None:
     phi = _load(args.cnf, reductions.parse_cnf)
     inst = _build_instance(phi, args)
     graph_path = f"{args.output}.gr"
@@ -149,16 +140,15 @@ def _cmd_reduce(args) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from exc
+            raise ValueError(f"cannot write {path}: {exc}") from exc
     print(f"vertices={inst.graph.n}")
     print(f"edges={inst.graph.m}")
     print(f"threshold={inst.threshold}")
     print(f"graph={graph_path}")
     print(f"roles={roles_path}")
-    return EXIT_OK
 
 
-def _cmd_verify_claims(args) -> int:
+def _cmd_verify_claims(args) -> None:
     phi = _load(args.cnf, reductions.parse_cnf)
     inst = _build_instance(phi, args)
     report = reductions.verify_claims(
@@ -166,18 +156,16 @@ def _cmd_verify_claims(args) -> int:
     )
     for line in report.as_lines():
         print(line)
-    return EXIT_OK
 
 
-def _cmd_blocker_edge(args) -> int:
+def _cmd_blocker_edge(args) -> None:
     g = _load(args.graph, parse_graph)
     try:
         u, v = (int(t) for t in args.edge.split(","))
     except ValueError:
-        raise InputError(f"bad edge {args.edge!r}, expected U,V") from None
+        raise ValueError(f"bad edge {args.edge!r}, expected U,V") from None
     fam = _parse_family(args.family, _RELATIONS[args.relation])
     print("YES" if transversal.drop_given_edge(g, (u, v), fam) else "NO")
-    return EXIT_OK
 
 
 _INSTANCE_FLAGS = {1: "gadget", 2: "clique", 3: "path"}
@@ -186,16 +174,16 @@ _INSTANCE_FLAGS = {1: "gadget", 2: "clique", 3: "path"}
 def _build_instance(phi, args) -> reductions.GadgetInstance:
     for theorem, flag in _INSTANCE_FLAGS.items():
         if theorem != args.theorem and getattr(args, flag) is not None:
-            raise InputError(f"--{flag} applies to --theorem {theorem} only")
+            raise ValueError(f"--{flag} applies to --theorem {theorem} only")
     if args.theorem == 1:
         pattern = cycle_graph(4) if args.gadget in (None, "c4") else _load(args.gadget, parse_graph)
         return reductions.build_double_copy_instance(phi, pattern)
     if args.theorem == 2:
         if args.clique is None:
-            raise InputError("--clique is required with --theorem 2")
+            raise ValueError("--clique is required with --theorem 2")
         return reductions.build_subdivided_clique_instance(phi, args.clique)
     if args.path is None:
-        raise InputError("--path is required with --theorem 3")
+        raise ValueError("--path is required with --theorem 3")
     return reductions.build_path_instance(phi, args.path)
 
 
@@ -278,13 +266,14 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, ValueError) as exc:
+        args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceeded, RecursionError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    return EXIT_OK
 
 
 if __name__ == "__main__":

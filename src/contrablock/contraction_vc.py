@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     bfs,
     connected_components,
+    contract_classes,
     contract_set,
     forest_sets,
     induced_subgraph,
@@ -169,7 +170,7 @@ def _first_drop(g: Graph, sizes, target: int, fits) -> tuple[Edge, ...] | None:
     edges = g.sorted_edges()
     for size in sizes:
         for f, cls in forest_sets(g, size):
-            if not _matching_exceeds(edges, cls, target) and fits(f, contract_set(g, f)):
+            if not _matching_exceeds(edges, cls, target) and fits(f, contract_classes(g, cls)):
                 return f
     return None
 

@@ -155,25 +155,27 @@ def serialize_graph(g: Graph) -> str:
 def _class_map(g: Graph, contracted) -> list[int]:
     """``cls[v]``, the smallest original vertex of v's class once the edges
     of ``contracted`` are contracted; ValueError names the first non-edge."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joined: dict[int, list[int]] = {}
     for u, v in checked_edges(g, contracted):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)  # a root stays its class's minimum
-    return [find(v) for v in range(g.n)]
+        joined.setdefault(u, []).append(v)
+        joined.setdefault(v, []).append(u)
+    cls = list(range(g.n))
+    for comp in components(joined, joined):
+        for v in comp:
+            cls[v] = comp[0]  # a component comes back sorted
+    return cls
 
 
 def contract_set(g: Graph, contracted) -> ContractionResult:
     """Contract a set of edges; merged classes are renumbered by their minimum
     original vertex, so the result is independent of input order."""
-    cls = _class_map(g, contracted)
+    return contract_classes(g, _class_map(g, contracted))
+
+
+def contract_classes(g: Graph, cls) -> ContractionResult:
+    """The quotient of g by the class map ``cls``, numbered as in
+    ``contract_set``.  It trusts ``cls``: ``cls[v]`` is the smallest vertex
+    of v's class, as ``_class_map`` and ``forest_sets`` build it."""
     vmap: list[int] = []
     roots = 0
     for v, r in enumerate(cls):

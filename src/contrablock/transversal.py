@@ -542,15 +542,20 @@ def feedback_vertex_set(g: Graph, budget: int | None = None):
 
 def odd_cycle_transversal(g: Graph, budget: int | None = None):
     """Minimum vertex set whose deletion leaves a bipartite graph, by
-    level-order search over the vertices of a shortest odd cycle."""
+    level-order search over the vertices of a shortest odd cycle, run on
+    each component within the budget the earlier components left."""
 
     def children(alive):
         return (alive - {v} for v in shortest_odd_cycle(g, alive))  # odd: its level failed the goal
 
-    everything = frozenset(range(g.n))
-    hi = g.n if budget is None else min(budget, g.n)
-    alive = shallowest(everything, lambda alive: bipartition(g, alive) is not None, children, hi)
-    return None if alive is None else (g.n - len(alive), everything - alive)
+    def solve(comp, share):
+        part = frozenset(comp)
+        alive = shallowest(part, lambda alive: bipartition(g, alive) is not None, children, min(share, len(part)))
+        return None if alive is None else part - alive
+
+    comps = components(g.adj, range(g.n))
+    picks = split_solve(comps, [0] * len(comps), g.n if budget is None else budget, solve)
+    return None if picks is None else (len(picks), picks)
 
 
 def hitting_number(g: Graph, fam: HitFamily) -> int:

@@ -601,6 +601,7 @@ LARGE_INPUT_COMMANDS = [
     (["contract-vc", "matching.gr", "-k", "2", "-d", "1"], "YES"),
     (["min-contract-vc", "matching.gr", "-d", "1"], "1"),
     (["vc", "k4s.gr"], "120"),
+    (["tau", "k4s.gr", "--family", "oct"], "80"),
     (["contract-vc", "g5.gr", "-k", "21", "-d", "21"], "NO"),  # vc = 20 < d
     (["min-contract-vc", "g5.gr", "-d", "21"], "INFEASIBLE"),
     (["min-contract-vc", "g5.gr", "-d", "21", "--approx"], "INFEASIBLE"),

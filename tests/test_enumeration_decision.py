@@ -28,6 +28,7 @@ from contrablock.graphs import (
     Graph,
     bfs,
     bipartition,
+    contract_classes,
     contract_set,
     cycle_graph,
     forest_sets,
@@ -154,6 +155,7 @@ class TestTrustedQuotients:
             g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]))
             edges = g.sorted_edges()
             f = rng.sample(edges, rng.randint(0, min(len(edges), 6)))
+            f += rng.sample(f, rng.randint(0, len(f)))  # repeated pairs
             f = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in f]
             got, want = contract_set(g, f), _reference_contract_set(g, f)
             assert (got.quotient.n, got.quotient.edges, got.quotient.adj, got.vmap) == (
@@ -199,6 +201,8 @@ class TestForestWalk:
                         low = [min(c) for c in res.classes()]
                         want.append((f, tuple(low[res.vmap[v]] for v in range(g.n))))
                 assert list(forest_sets(g, size)) == want, (g, size)
+                for f, cls in want:
+                    assert contract_classes(g, cls) == contract_set(g, f), (g, f)
 
     def test_enumerate_matches_the_reference(self):
         rng = random.Random(7006)
@@ -232,9 +236,11 @@ class TestEnumerationCalls:
         modulator cover, for its target, and decides every quotient it
         builds without a König cover extraction.  Of the 5,388 acyclic sets
         it walks, the matching bound refuses all but 960 before a quotient
-        is built.  Each counter wraps the module attribute its caller
-        resolves."""
-        calls = {"full": 0, "fits": 0, "bipartite_outside_full": 0, "sets": 0, "cut": 0}
+        is built, and each of those quotients is read off the class map
+        ``forest_sets`` holds.  Each counter wraps the module attribute its
+        caller resolves."""
+        calls = {"full": 0, "fits": 0, "bipartite_outside_full": 0, "sets": 0, "cut": 0,
+                 "contract_set": 0, "contract_classes": 0}
         inside_full = [0]
         full, fits = contraction_vc.vc_with_modulator, contraction_vc.vc_with_modulator_fits
         bipartite = vertex_cover.vc_bipartite
@@ -250,6 +256,12 @@ class TestEnumerationCalls:
             calls["cut"] += cut
             return cut
 
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
         def counted_full(*args):
             calls["full"] += 1
             inside_full[0] += 1
@@ -258,23 +270,22 @@ class TestEnumerationCalls:
             finally:
                 inside_full[0] -= 1
 
-        def counted_fits(*args):
-            calls["fits"] += 1
-            return fits(*args)
-
         def counted_bipartite(*args):
             if not inside_full[0]:
                 calls["bipartite_outside_full"] += 1
             return bipartite(*args)
 
         monkeypatch.setattr(contraction_vc, "vc_with_modulator", counted_full)
-        monkeypatch.setattr(contraction_vc, "vc_with_modulator_fits", counted_fits)
+        monkeypatch.setattr(contraction_vc, "vc_with_modulator_fits", counted("fits", fits))
         monkeypatch.setattr(vertex_cover, "vc_bipartite", counted_bipartite)
         monkeypatch.setattr(contraction_vc, "forest_sets", counted_sets)
         monkeypatch.setattr(contraction_vc, "_matching_exceeds", counted_exceeds)
+        for name in ("contract_set", "contract_classes"):
+            monkeypatch.setattr(contraction_vc, name, counted(name, getattr(contraction_vc, name)))
         dec = algorithm1(grid_graph(4, 4), 5, 3)
         assert dec.answer and dec.trace == "enumeration-yes"
         assert dec.witness == ((1, 2), (1, 5), (4, 5), (4, 8))
         assert calls["full"] == 1 and calls["bipartite_outside_full"] == 0, calls
         assert calls["sets"] == 5388 and calls["fits"] == 960, calls
         assert calls["sets"] - calls["fits"] == calls["cut"], calls
+        assert calls["contract_set"] == 0 and calls["contract_classes"] == 960, calls

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,15 @@ class TestContraction:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):
             contract_set(path_graph(3), [(0, 2)])
+
+    def test_contracting_a_long_path_to_a_point_is_linear(self):
+        # a class map relabelled in full at each merge would take seconds here
+        g = path_graph(20000)
+        edges = g.sorted_edges()
+        start = time.perf_counter()
+        res = contract_set(g, edges)
+        assert time.perf_counter() - start < 1.0
+        assert res.quotient.n == 1 and res.vmap == (0,) * 20000
 
     def test_vmap_surjective_and_class_rule(self):
         g = cycle_graph(6)

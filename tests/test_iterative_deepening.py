@@ -2,7 +2,9 @@
 
 The ``_reference_*`` functions are the earlier hand-written iterative
 deepenings, kept verbatim as oracles: every edge list, vertex set and None
-must match them.
+must match them.  ``_reference_unsplit_oct`` is ``odd_cycle_transversal``
+before it searched each component on its own, one ``shallowest`` search
+over the whole graph.
 """
 
 import random
@@ -10,7 +12,15 @@ import random
 import pytest
 
 from contrablock.bipartite_contraction import bc_decide
-from contrablock.graphs import complete_graph, contract_set, cycle_graph, depth_first, shallowest, shortest_odd_cycle
+from contrablock.graphs import (
+    bipartition,
+    complete_graph,
+    contract_set,
+    cycle_graph,
+    depth_first,
+    shallowest,
+    shortest_odd_cycle,
+)
 from contrablock.transversal import odd_cycle_transversal
 
 from .conftest import disjoint_union, random_graph
@@ -78,6 +88,16 @@ def _reference_oct_decide(g, alive, k, visited):
     return None
 
 
+def _reference_unsplit_oct(g, budget=None):
+    def children(alive):
+        return (alive - {v} for v in shortest_odd_cycle(g, alive))  # odd: its level failed the goal
+
+    everything = frozenset(range(g.n))
+    hi = g.n if budget is None else min(budget, g.n)
+    alive = shallowest(everything, lambda alive: bipartition(g, alive) is not None, children, hi)
+    return None if alive is None else (g.n - len(alive), everything - alive)
+
+
 def _corpus():
     """Seeded G(n, p) graphs with n <= 10; every fifth is a disjoint union
     of two of them."""
@@ -135,6 +155,20 @@ def test_deep_searches_match_reference():
         for budget in (None, *range(opt + 1)):
             assert odd_cycle_transversal(g, budget) == _reference_odd_cycle_transversal(g, budget), (g, budget)
         assert odd_cycle_transversal(g)[0] == opt
+
+
+def test_split_oct_matches_the_unsplit_search_on_disjoint_unions():
+    rng = random.Random(2323)
+    sizes = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 6), rng.choice([0.4, 0.6, 0.9]))
+        for _ in range(rng.randint(1, 2)):
+            g = disjoint_union(g, random_graph(rng, rng.randint(1, 6), rng.choice([0.4, 0.6, 0.9])))
+        for budget in (None, 0, 1, 2, 3, 4):
+            res = odd_cycle_transversal(g, budget)
+            assert res == _reference_unsplit_oct(g, budget), (g, budget)
+            sizes.add(None if res is None else res[0])
+    assert {0, 1, 2, 3, 4, 5, None} <= sizes
 
 
 def test_negative_budgets():
