@@ -18,6 +18,7 @@ from .graphs import (
     Edge,
     Graph,
     bfs,
+    bipartition,
     connected_components,
     contract_classes,
     contract_set,
@@ -26,9 +27,10 @@ from .graphs import (
     is_connected,
 )
 from .vertex_cover import (
+    maximum_matching,
     vc_branching,
+    vc_with_groups_fits,
     vc_with_modulator,
-    vc_with_modulator_fits,
 )
 
 TRACES = (
@@ -160,17 +162,18 @@ def _matching_exceeds(edges, cls, budget: int) -> bool:
 
 
 def _first_drop(g: Graph, sizes, target: int, fits) -> tuple[Edge, ...] | None:
-    """The first edge set, by size from ``sizes`` and then in sorted order,
-    whose contraction ``res`` has ``fits(f, res)``, or None.
+    """The first edge set ``f``, by size from ``sizes`` and then in sorted
+    order, with ``fits(f, cls)``, or None; ``cls`` is the class map of f's
+    contraction as ``forest_sets`` holds it, so no quotient is built here.
 
     Only acyclic sets are walked (``forest_sets``): a set with an edge that
     closes a cycle has the quotient of a smaller set, which either was tried
     already or is too small.  A set whose quotient has a matching larger
-    than ``target`` is refused before its quotient is built."""
+    than ``target`` is refused before ``fits`` is asked."""
     edges = g.sorted_edges()
     for size in sizes:
         for f, cls in forest_sets(g, size):
-            if not _matching_exceeds(edges, cls, target) and fits(f, contract_classes(g, cls)):
+            if not _matching_exceeds(edges, cls, target) and fits(f, cls):
                 return f
     return None
 
@@ -196,7 +199,8 @@ def _component_opt(c: Graph, d_prime: int, paper_convention: bool, vc_c: int | N
         return len(tree), tuple(tree)
     target = vc_c - d_prime
     sizes = range(d_prime, min(2 * d_prime, c.m) + 1)  # each contraction drops the cover by <= 1
-    f = _first_drop(c, sizes, target, lambda _, res: vc_branching(res.quotient, budget=target) is not None)
+    f = _first_drop(c, sizes, target,
+                    lambda _, cls: vc_branching(contract_classes(c, cls).quotient, budget=target) is not None)
     if f is not None:
         return len(f), f
     raise RuntimeError("a drop of d' needs at most 2d' contractions when vc > d'")
@@ -264,19 +268,40 @@ def dp_min_contract(g: Graph, d: int, paper_convention: bool = False):
     return _dp_with_witness(g, d, paper_convention)[0]
 
 
+def _class_decision(g: Graph, anchors, budget: int):
+    """``fits(f, cls)``: whether contracting the edge set ``f``, whose class
+    map is ``cls``, leaves a vertex cover of at most ``budget``.  ``g -
+    anchors`` must be bipartite; it is coloured and matched once here.
+
+    Each class of two or more vertices holds an edge of f, so every vertex
+    outside ``anchors`` and V(f) is a class of its own: the quotient minus
+    the classes of those vertices is ``g`` minus them, a bipartite induced
+    subgraph of ``g - anchors``.  Those classes are the modulator, and each
+    split's matching starts from the matching of ``g - anchors``."""
+    rest = set(range(g.n)).difference(anchors)
+    left = bipartition(g, rest)[0]
+    start = maximum_matching(g, left, rest)
+
+    def fits(f, cls):
+        touched = set(anchors).union(*f)
+        groups: dict[int, list[int]] = {}
+        for v in sorted(touched):
+            groups.setdefault(cls[v], []).append(v)
+        return vc_with_groups_fits(g, list(groups.values()), rest - touched,
+                                   [v for v in left if v not in touched], budget, start)
+
+    return fits
+
+
 def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | None:
     """The first edge set of at most k edges, by size and then in sorted
     order, whose contraction drops the cover number by d, or None.  Every
     cover question goes through the modulator built from the bc witness
-    plus merged classes; each quotient only asks whether its cover fits
-    the target."""
+    plus merged classes; each edge set only asks, on g, whether the cover
+    of its contraction fits the target."""
     anchors = sorted({v for e in low_bc_witness for v in e})
     target = vc_with_modulator(g, anchors).size - d
-
-    def fits(f, res):
-        modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
-        return vc_with_modulator_fits(res.quotient, modulator, target)
-
+    fits = _class_decision(g, anchors, target)
     return _first_drop(g, range(d, k + 1), target, fits)  # each contraction drops the cover by <= 1
 
 

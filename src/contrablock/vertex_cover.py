@@ -98,25 +98,32 @@ def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResu
     return None if sol is None else CoverResult(len(sol), sol)
 
 
-def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:
-    """Maximum matching of a bipartite graph via augmenting paths; returns a
-    symmetric vertex->partner map.  ``left`` must be one side; ``allowed``
-    restricts the graph to an induced vertex subset.  Both must be vertices
-    of ``g`` and are not checked: the callers pass one side of a
-    ``bipartition`` colouring, which checked them, and a range check here
-    cost the bounded enumeration about 4 %.
+def _augment(g: Graph, left, alive, match: dict[int, int], limit: int | None = None) -> dict[int, int]:
+    """Grow the bipartite matching ``match`` in place by one augmenting-path
+    search from each free vertex of ``left``, in sorted order, inside the
+    vertex set ``alive``; returns ``match``.  A free vertex with no
+    augmenting path has none after later augmentations either (Kuhn), so
+    one pass reaches a maximum matching from any starting matching.  With a
+    ``limit``, it stops as soon as the matching has more than ``limit`` pairs.
 
-    Each augmenting-path search is a depth-first search on an explicit stack,
-    so long paths cannot exhaust the interpreter's recursion limit.
-    """
-    alive = set(range(g.n) if allowed is None else allowed)
-    nbrs = {u: sorted(g.adj[u] & alive) for u in left}
-    match: dict[int, int] = {}
+    Each search is a depth-first search on an explicit stack, so long paths
+    cannot exhaust the interpreter's recursion limit.  A vertex's neighbours
+    are sorted when a search first reaches it."""
+    pairs = len(match) // 2
+    nbrs: dict[int, list[int]] = {}
+
+    def reach(u):
+        if u not in nbrs:
+            nbrs[u] = sorted(g.adj[u] & alive)
+        return iter(nbrs[u])
+
     for root in sorted(left):
+        if limit is not None and pairs > limit:
+            break
         if root in match:
             continue
         seen: set[int] = set()
-        stack = [(root, iter(nbrs[root]))]
+        stack = [(root, reach(root))]
         path: list[int] = []  # path[i] is the vertex reached from stack[i]
         while stack:
             for w in stack[-1][1]:
@@ -130,14 +137,26 @@ def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:
             seen.add(w)
             path.append(w)
             if w in match:
-                stack.append((match[w], iter(nbrs[match[w]])))
+                stack.append((match[w], reach(match[w])))
                 continue
             # flip the path, from its free end back to the root
             for (u, _), x in reversed(list(zip(stack, path))):
                 match[x] = u
                 match[u] = x
+            pairs += 1
             break
     return match
+
+
+def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:
+    """Maximum matching of a bipartite graph via augmenting paths; returns a
+    symmetric vertex->partner map.  ``left`` must be one side; ``allowed``
+    restricts the graph to an induced vertex subset.  Both must be vertices
+    of ``g`` and are not checked: the callers pass one side of a
+    ``bipartition`` colouring, which checked them, and a range check here
+    cost the bounded enumeration about 4 %.  It is ``_augment`` run from an
+    empty matching."""
+    return _augment(g, left, set(range(g.n) if allowed is None else allowed), {})
 
 
 def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
@@ -165,15 +184,61 @@ def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
     return CoverResult(len(cover), frozenset(cover))
 
 
-def _modulator_splits(g: Graph, modulator, budget: int | None = None):
+def _modulator_splits(g: Graph, groups, rest, left, budget: int | None, start: dict[int, int]):
     """Each feasible split of a bipartite modulator, in mask order, as
-    (size, taken, remaining): ``taken`` is the cover part fixed by the split
-    (the modulator vertices inside plus the neighbours the others force in),
-    ``remaining`` the bipartite vertex set still to cover and ``size`` the
-    split's minimum cover, ``len(taken)`` plus a maximum matching of
-    ``remaining`` (König).  Splits whose ``taken`` exceeds ``budget`` are
-    skipped unsized.  ``g - modulator`` is coloured once, and an invalid
-    modulator raises ValueError on the first step."""
+    (size, taken, remaining).
+
+    The modulator is ``groups``, disjoint vertex lists of g, each one vertex
+    of the graph made by contracting it; a group's neighbours are the union
+    of its members' neighbours in g.  Every other vertex is in ``rest``,
+    which induces a bipartite graph with ``left`` as one side.  A split puts
+    some groups in the cover, and each group left out forces its neighbours
+    in.  ``taken`` holds the members of the groups inside and the forced
+    vertices, ``remaining`` the vertices of ``rest`` still to cover, and
+    ``size`` the split's minimum cover: one per group inside, one per forced
+    vertex, plus a maximum matching of ``remaining`` (König).
+
+    Each split's matching starts from the pairs of ``start``, a matching of
+    g, that lie inside ``remaining``.  With a ``budget`` only the splits
+    that fit it are yielded: a split whose forced part, or forced part plus
+    starting matching, already exceeds it is refused unsized, and the others
+    stop augmenting as soon as they exceed it."""
+    member = {v: i for i, grp in enumerate(groups) for v in grp}
+    forces: list[set[int]] = []  # each group's neighbours in rest
+    links: set[int] = set()  # the two bits of each pair of adjacent groups
+    for i, grp in enumerate(groups):
+        out = set().union(*(g.adj[v] for v in grp))
+        forces.append(out & rest)
+        links.update(1 << i | 1 << member[w] for w in out if member.get(w, i) != i)
+    base = {u: w for u, w in start.items() if u in rest and w in rest}
+    for mask in range(1 << len(groups)):
+        if budget is not None and mask.bit_count() > budget:
+            continue
+        if not all(mask & link for link in links):
+            continue  # an edge between two groups left out cannot be covered
+        forced = set().union(*(forces[i] for i in range(len(groups)) if not mask >> i & 1))
+        fixed = mask.bit_count() + len(forced)
+        limit = None if budget is None else budget - fixed
+        if limit is not None and limit < 0:
+            continue
+        match = dict(base)
+        for v in forced:
+            if v in match:
+                del match[match.pop(v)]
+        if limit is not None and len(match) // 2 > limit:
+            continue
+        remaining = rest - forced
+        _augment(g, [v for v in left if v not in forced], remaining, match, limit)
+        size = fixed + len(match) // 2
+        if limit is None or size <= budget:
+            inside = set().union(*(groups[i] for i in range(len(groups)) if mask >> i & 1))
+            yield size, inside | forced, remaining
+
+
+def _singleton_groups(g: Graph, modulator):
+    """(groups, rest, left, start) for ``_modulator_splits`` when each
+    modulator vertex is its own group: ``g - modulator`` is coloured and
+    matched once.  An invalid modulator raises ValueError."""
     b = sorted(set(modulator))
     for v in b:
         if not 0 <= v < g.n:
@@ -182,23 +247,7 @@ def _modulator_splits(g: Graph, modulator, budget: int | None = None):
     sides = bipartition(g, rest)
     if sides is None:
         raise ValueError("graph minus modulator is not bipartite")
-    for mask in range(1 << len(b)):
-        inside = {b[i] for i in range(len(b)) if mask >> i & 1}
-        outside = {v for v in b if v not in inside}
-        forced: set[int] = set()
-        feasible = True
-        for v in outside:
-            if g.adj[v] & outside:
-                feasible = False  # an edge inside the excluded part cannot be covered
-                break
-            forced |= g.adj[v]
-        if not feasible:
-            continue
-        taken = inside | forced
-        if budget is None or len(taken) <= budget:
-            remaining = rest - forced
-            left = [v for v in sides[0] if v not in forced]
-            yield len(taken) + len(maximum_matching(g, left, remaining)) // 2, taken, remaining
+    return [[v] for v in b], rest, sides[0], maximum_matching(g, sides[0], rest)
 
 
 def vc_with_modulator(g: Graph, modulator) -> CoverResult:
@@ -206,17 +255,28 @@ def vc_with_modulator(g: Graph, modulator) -> CoverResult:
     graph: try every split of the modulator into cover / non-cover vertices;
     non-cover vertices force their whole neighborhood into the cover, and the
     first smallest split's bipartite remainder is solved exactly."""
-    best = min(_modulator_splits(g, modulator), key=lambda split: split[0], default=None)
+    groups, rest, left, start = _singleton_groups(g, modulator)
+    splits = _modulator_splits(g, groups, rest, left, None, start)
+    best = min(splits, key=lambda split: split[0], default=None)
     if best is None:
         raise RuntimeError("the mask with every modulator vertex inside always works")
     cover = best[1] | vc_bipartite(g, best[2]).cover
     return CoverResult(len(cover), frozenset(cover))
 
 
+def vc_with_groups_fits(g: Graph, groups, rest, left, budget: int, start: dict[int, int]) -> bool:
+    """Whether the graph made from g by contracting each of ``groups`` to one
+    vertex has a vertex cover of at most ``budget``, decided on g without
+    building that graph or a cover; the arguments are those of
+    ``_modulator_splits``, and the first split that fits answers."""
+    return any(True for _ in _modulator_splits(g, groups, rest, left, budget, start))
+
+
 def vc_with_modulator_fits(g: Graph, modulator, budget: int) -> bool:
     """Whether ``vc_with_modulator(g, modulator).size <= budget``, decided
     without building a cover: the first split whose size fits answers."""
-    return any(size <= budget for size, _, _ in _modulator_splits(g, modulator, budget))
+    groups, rest, left, start = _singleton_groups(g, modulator)
+    return vc_with_groups_fits(g, groups, rest, left, budget, start)
 
 
 def vc_after_contraction(g: Graph, e) -> int:

@@ -19,10 +19,12 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contrablock import contraction_vc, vertex_cover
 from contrablock.bipartite_contraction import bc_decide
-from contrablock.contraction_vc import _component_opt, _enumerate, algorithm1
+from contrablock.contraction_vc import _class_decision, _component_opt, _enumerate, algorithm1
 from contrablock.graphs import (
     ContractionResult,
     Graph,
@@ -34,7 +36,7 @@ from contrablock.graphs import (
     forest_sets,
     is_connected,
 )
-from contrablock.vertex_cover import vc_branching, vc_with_modulator, vc_with_modulator_fits
+from contrablock.vertex_cover import maximum_matching, vc_branching, vc_with_modulator, vc_with_modulator_fits
 
 from .conftest import grid_graph, random_bipartite_graph, random_connected_graph, random_graph
 
@@ -230,19 +232,88 @@ class TestForestWalk:
         assert tried >= 500 and found >= 150, (tried, found)
 
 
+@st.composite
+def _small_graphs(draw):
+    """Graphs on 2..8 vertices with at most 10 edges; half of them hold the
+    triangle 0-1-2, so odd graphs are always among the draws."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    slots = list(combinations(range(n), 2))
+    edges = set(draw(st.lists(st.sampled_from(slots), unique=True, max_size=10)))
+    if draw(st.booleans()):
+        edges |= {(0, 1), (1, 2), (0, 2)}
+    return Graph.from_edges(n, sorted(edges))
+
+
+class TestClassDecision:
+    @given(_small_graphs(), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_quotient_decision(self, g, d):
+        """For every set the enumeration walks at k = 2d - 1, deciding on g
+        through the class map answers as the modulator decision on the
+        contracted quotient does, at budgets around the target."""
+        low_bc_witness = bc_decide(g, d - 1)
+        assume(low_bc_witness is not None)
+        anchors = sorted({v for e in low_bc_witness for v in e})
+        target = vc_with_modulator(g, anchors).size - d
+        budgets = range(target - 2, target + 3)
+        decisions = [_class_decision(g, anchors, budget) for budget in budgets]
+        for size in range(2 * d):
+            for f, cls in forest_sets(g, size):
+                res = contract_classes(g, cls)
+                modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
+                for budget, fits in zip(budgets, decisions):
+                    assert fits(f, cls) == vc_with_modulator_fits(res.quotient, modulator, budget), (
+                        g, f, budget)
+
+
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestWarmStart:
+    def test_restricted_matching_augments_to_a_maximum_one(self):
+        """A maximum matching restricted to the vertices that survive random
+        deletions, then augmented, is as large as a matching of the
+        survivors from nothing; with a limit, it stops at limit + 1 pairs."""
+        rng = random.Random(7007)
+        graphs = [_relabelled(rng, random_bipartite_graph(rng, 2, 16)) for _ in range(300)]
+        graphs += [_relabelled(rng, grid_graph(rng.randint(2, 6), rng.randint(2, 6))) for _ in range(100)]
+        grown = 0
+        for g in graphs:
+            left = bipartition(g)[0]
+            full = maximum_matching(g, left)
+            alive = {v for v in range(g.n) if rng.random() < 0.8}
+            survivors = [v for v in left if v in alive]
+            want = len(maximum_matching(g, survivors, alive)) // 2
+            start = {u: w for u, w in full.items() if u in alive and w in alive}
+            got = vertex_cover._augment(g, survivors, alive, dict(start))
+            assert len(got) // 2 == want, (g, alive)
+            assert all(got[w] == u and w in g.adj[u] and u in alive for u, w in got.items()), (g, alive)
+            grown += want > len(start) // 2
+            for limit in range(len(start) // 2, want + 1):
+                got = vertex_cover._augment(g, survivors, alive, dict(start), limit)
+                assert len(got) // 2 == min(want, limit + 1), (g, alive, limit)
+        assert grown >= 100, grown
+
+
 class TestEnumerationCalls:
     def test_grid_enumeration_decides_each_quotient(self, monkeypatch):
         """On grid 4x4 at k = 5, d = 3 the enumeration solves one full
-        modulator cover, for its target, and decides every quotient it
-        builds without a König cover extraction.  Of the 5,388 acyclic sets
-        it walks, the matching bound refuses all but 960 before a quotient
-        is built, and each of those quotients is read off the class map
-        ``forest_sets`` holds.  Each counter wraps the module attribute its
-        caller resolves."""
+        modulator cover, for its target, and decides every edge set without
+        a König cover extraction.  Of the 5,388 acyclic sets it walks, the
+        matching bound refuses all but 960, and each of those is decided on
+        g through the class map ``forest_sets`` holds: no quotient is built.
+        Three colourings and three matchings start from nothing (the
+        target's split sizing and cover, and the enumeration's own of
+        g - anchors); every split matching is warm-started.  Each counter
+        wraps the module attribute its caller resolves."""
         calls = {"full": 0, "fits": 0, "bipartite_outside_full": 0, "sets": 0, "cut": 0,
-                 "contract_set": 0, "contract_classes": 0}
+                 "contract_set": 0, "contract_classes": 0, "bipartition": 0,
+                 "maximum_matching": 0, "augment": 0}
         inside_full = [0]
-        full, fits = contraction_vc.vc_with_modulator, contraction_vc.vc_with_modulator_fits
+        full, fits = contraction_vc.vc_with_modulator, contraction_vc.vc_with_groups_fits
         bipartite = vertex_cover.vc_bipartite
         sets, exceeds = contraction_vc.forest_sets, contraction_vc._matching_exceeds
 
@@ -276,16 +347,21 @@ class TestEnumerationCalls:
             return bipartite(*args)
 
         monkeypatch.setattr(contraction_vc, "vc_with_modulator", counted_full)
-        monkeypatch.setattr(contraction_vc, "vc_with_modulator_fits", counted("fits", fits))
+        monkeypatch.setattr(contraction_vc, "vc_with_groups_fits", counted("fits", fits))
         monkeypatch.setattr(vertex_cover, "vc_bipartite", counted_bipartite)
         monkeypatch.setattr(contraction_vc, "forest_sets", counted_sets)
         monkeypatch.setattr(contraction_vc, "_matching_exceeds", counted_exceeds)
-        for name in ("contract_set", "contract_classes"):
-            monkeypatch.setattr(contraction_vc, name, counted(name, getattr(contraction_vc, name)))
+        monkeypatch.setattr(vertex_cover, "_augment", counted("augment", vertex_cover._augment))
+        for module, name in [(contraction_vc, "contract_set"), (contraction_vc, "contract_classes"),
+                             (contraction_vc, "bipartition"), (vertex_cover, "bipartition"),
+                             (contraction_vc, "maximum_matching"), (vertex_cover, "maximum_matching")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         dec = algorithm1(grid_graph(4, 4), 5, 3)
         assert dec.answer and dec.trace == "enumeration-yes"
         assert dec.witness == ((1, 2), (1, 5), (4, 5), (4, 8))
         assert calls["full"] == 1 and calls["bipartite_outside_full"] == 0, calls
         assert calls["sets"] == 5388 and calls["fits"] == 960, calls
         assert calls["sets"] - calls["fits"] == calls["cut"], calls
-        assert calls["contract_set"] == 0 and calls["contract_classes"] == 960, calls
+        assert calls["contract_set"] == 0 and calls["contract_classes"] == 0, calls
+        assert calls["bipartition"] == 3 and calls["maximum_matching"] == 3, calls
+        assert calls["augment"] - calls["maximum_matching"] == 368, calls
