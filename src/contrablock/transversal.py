@@ -64,6 +64,11 @@ class HitFamily:
     def symbolic(self) -> bool:
         return isinstance(self.patterns, str)
 
+    @functools.cached_property
+    def plans(self) -> tuple:
+        """The search plan of each explicit pattern, built on first use."""
+        return tuple(map(_pattern_plan, self.patterns))
+
     @staticmethod
     def vertex_cover() -> "HitFamily":
         return HitFamily("subgraph", "single-edge")
@@ -111,29 +116,42 @@ def _pattern_order(h: Graph) -> list[int]:
     return list(bfs(h.adj, range(h.n)))
 
 
-def _earlier_neighbours(h: Graph, order: list[int]) -> list[list[int]]:
-    """For each position of ``order``, the earlier positions that hold a
-    neighbour of its pattern vertex."""
-    return [[j for j in range(i) if order[j] in h.adj[pv]] for i, pv in enumerate(order)]
-
-
-def _subgraph_occ(g: Graph, h: Graph, induced: bool, hosts: frozenset[int]) -> tuple[int, ...] | None:
-    """A node is the tuple of host images of the pattern vertices, in BFS
-    order, placed so far."""
+def _pattern_plan(h: Graph):
+    """How the search places h, position by position in the BFS order of
+    ``_pattern_order``: a tuple (linked, apart, need, position), where for
+    each position ``linked`` and ``apart`` hold the earlier positions whose
+    vertex is and is not a neighbour and ``need`` its pattern degree, and
+    ``position[v]`` is the position of pattern vertex v."""
     order = _pattern_order(h)
-    linked = _earlier_neighbours(h, order)
+    linked = [tuple(j for j in range(i) if order[j] in h.adj[pv]) for i, pv in enumerate(order)]
+    apart = [tuple(j for j in range(i) if j not in near) for i, near in enumerate(linked)]
+    position = [0] * h.n
+    for i, pv in enumerate(order):
+        position[pv] = i
+    return linked, apart, [h.degree(pv) for pv in order], position
+
+
+def _subgraph_occ(g: Graph, plan, induced: bool, hosts: frozenset[int]) -> tuple[int, ...] | None:
+    """A node is the tuple of host images of the pattern vertices, in BFS
+    order, placed so far.  A candidate adjacent to every placed neighbour
+    has at least that many neighbours in ``hosts``, so its degree is tested
+    only when the pattern vertex needs more."""
+    adj = g.adj
+    linked, apart, need, position = plan
 
     def children(node):
         i = len(node)
-        need = h.degree(order[i])
-        apart = [node[j] for j in range(i) if j not in linked[i]] if induced else ()
-        for hv in sorted(hosts.intersection(*(g.adj[node[j]] for j in linked[i])).difference(node)):
-            near = g.adj[hv]
-            if len(near & hosts) >= need and near.isdisjoint(apart):
+        near = linked[i]
+        degree = need[i] if need[i] > len(near) else 0
+        away = [node[j] for j in apart[i]] if induced else ()
+        for hv in sorted(hosts.intersection(*[adj[node[j]] for j in near]).difference(node)):
+            if degree and len(adj[hv] & hosts) < degree:
+                continue
+            if not away or adj[hv].isdisjoint(away):
                 yield node + (hv,)
 
-    images = _first_of_length((), children, len(order))
-    return None if images is None else tuple(images[order.index(v)] for v in range(h.n))
+    images = _first_of_length((), children, len(position))
+    return None if images is None else tuple(images[i] for i in position)
 
 
 def _connected_sets(g: Graph, free: frozenset[int], max_size: int):
@@ -166,23 +184,23 @@ def _connected_sets(g: Graph, free: frozenset[int], max_size: int):
             yield current
 
 
-def _minor_occ(g: Graph, h: Graph, hosts: frozenset[int]) -> tuple[frozenset[int], ...] | None:
+def _minor_occ(g: Graph, plan, hosts: frozenset[int]) -> tuple[frozenset[int], ...] | None:
     """A node is the tuple of branch sets of the pattern vertices, in BFS
     order, placed so far."""
-    if h.n > len(hosts):
+    linked, _, _, position = plan
+    size = len(position)
+    if size > len(hosts):
         return None
-    order = _pattern_order(h)
-    linked = _earlier_neighbours(h, order)
 
     def children(node):
         i = len(node)
         free = hosts.difference(*node)
-        for branch in _connected_sets(g, free, len(free) - (len(order) - i - 1)):
+        for branch in _connected_sets(g, free, len(free) - (size - i - 1)):
             if all(any(g.adj[x] & node[j] for x in branch) for j in linked[i]):
                 yield node + (branch,)
 
-    sets = _first_of_length((), children, len(order))
-    return None if sets is None else tuple(sets[order.index(v)] for v in range(h.n))
+    sets = _first_of_length((), children, size)
+    return None if sets is None else tuple(sets[i] for i in position)
 
 
 def _simple_paths(g: Graph, a: int, b: int, blocked: frozenset[int], hosts: frozenset[int]):
@@ -224,26 +242,21 @@ def _topo_occ(g: Graph, h: Graph, hosts: frozenset[int]):
     return None if found is None else (found[: h.n], found[h.n :])
 
 
-def contains(g: Graph, h: Graph, relation: str, allowed=None) -> Occurrence | None:
-    """First occurrence of h inside g under the relation, or None.
-
-    Search is deterministic: pattern vertices in BFS order, host candidates
-    ascending.  ``allowed`` restricts the host to an induced vertex subset.
-    """
-    relation = _check_relation(relation)
-    hosts = checked_vertices(g, allowed)
+def _occurrence(g: Graph, h: Graph, plan, relation: str, hosts: frozenset[int]) -> Occurrence | None:
+    """The search behind ``contains``, unchecked: ``relation`` is one of
+    RELATIONS, ``hosts`` a set of vertices of g, ``plan`` is h's."""
     if h.m >= h.n:
         # every relation keeps a cycle of h, and a forest has none
         edges = sum(len(g.adj[v] & hosts) for v in hosts) // 2
         if edges == len(hosts) - len(components(g.adj, hosts)):
             return None
     if relation in ("subgraph", "induced-subgraph"):
-        mapping = _subgraph_occ(g, h, relation == "induced-subgraph", hosts)
+        mapping = _subgraph_occ(g, plan, relation == "induced-subgraph", hosts)
         if mapping is None:
             return None
         return Occurrence(relation, tuple(sorted(set(mapping))), mapping)
     if relation == "minor":
-        sets = _minor_occ(g, h, hosts)
+        sets = _minor_occ(g, plan, hosts)
         if sets is None:
             return None
         verts = sorted(v for s in sets for v in s)
@@ -256,9 +269,22 @@ def contains(g: Graph, h: Graph, relation: str, allowed=None) -> Occurrence | No
     return Occurrence(relation, tuple(verts), (branches, paths))
 
 
+def contains(g: Graph, h: Graph, relation: str, allowed=None) -> Occurrence | None:
+    """First occurrence of h inside g under the relation, or None.
+
+    Search is deterministic: pattern vertices in BFS order, host candidates
+    ascending.  ``allowed`` restricts the host to an induced vertex subset.
+    """
+    relation = _check_relation(relation)
+    return _occurrence(g, h, _pattern_plan(h), relation, checked_vertices(g, allowed))
+
+
 def _family_occurrence(g: Graph, fam: HitFamily, allowed) -> Occurrence | None:
-    for h in fam.patterns:
-        occ = contains(g, h, fam.relation, allowed)
+    """The first occurrence of ``fam``'s first pattern that occurs, as
+    ``contains`` finds it; ``allowed`` is a frozenset of vertices of g, which
+    the hitting solver builds inside ``range(g.n)``, so it is not checked."""
+    for h, plan in zip(fam.patterns, fam.plans):
+        occ = _occurrence(g, h, plan, fam.relation, allowed)
         if occ is not None:
             return occ
     return None
@@ -355,12 +381,16 @@ def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
 
 # -- dedicated feedback vertex set solver ------------------------------------
 #
-# Internal multigraph with the standard reductions: drop degree <= 1, bypass
-# degree-2 vertices (merging their two edges; a resulting loop forces its
-# vertex, a parallel pair forces an endpoint choice into the branching), then
-# branch on a maximum-degree vertex in/out.  The gadget instances this must
-# handle are dominated by degree-2 vertices, so reduction does most of the
-# work.
+# Internal multigraph, vertex -> {neighbour: multiplicity}, multiplicities 1
+# or 2 and a loop stored as {v: 1}, with the standard reductions: drop degree
+# <= 1, bypass degree-2 vertices (merging their two edges; a resulting loop
+# forces its vertex, a parallel pair forces an endpoint choice into the
+# branching), then branch on a maximum-degree vertex in/out.  The gadget
+# instances this must handle are dominated by degree-2 vertices: a top-level
+# reduction of a gadget or of one of its single-edge quotients removes most
+# of its vertices, so ``_mg_reduce`` keeps its loop lean, with a loop found
+# by membership, a degree read as the sum of multiplicities, and a degree-2
+# vertex bypassed in place.
 #
 # The reductions run off a worklist, a min-heap of vertex ids.  Whether a
 # vertex is reducible depends only on its own adjacency and on the fixed
@@ -398,42 +428,38 @@ def _mg_reduce(adj, forbidden, todo=None) -> set[int] | None:
     forced: set[int] = set()
     heap = sorted(adj if todo is None else todo)
     queued = set(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        v = heapq.heappop(heap)
-        queued.remove(v)
+        v = heappop(heap)
+        queued.discard(v)
         ns = adj[v]
-        if ns.get(v, 0):
+        bypass = False
+        if v in ns:
             if v in forbidden:
                 return None
             forced.add(v)
-            touched = [w for w in ns if w != v]
-            _mg_delete(adj, v)
-        elif len(ns) > 2:
-            # loop-free, so every neighbour adds at least 1 to the degree
+            del ns[v]
+        elif len(ns) > 2 or (degree := sum(ns.values())) > 2:
             continue
-        else:
-            touched = [w for w, c in ns.items() for _ in range(c)]
-            if len(touched) <= 1:
-                _mg_delete(adj, v)
-            elif len(touched) == 2:
-                u, w = touched
-                if v not in forbidden and u in forbidden and w in forbidden:
-                    # bypassing commits to a solution without v, which needs a
-                    # free endpoint to swap onto; leave v to the branching
-                    continue
-                _mg_delete(adj, v)
-                if u == w:
-                    adj[u][u] = 1
-                else:
-                    mult = min(2, adj[u].get(w, 0) + 1)
-                    adj[u][w] = mult
-                    adj[w][u] = mult
-            else:
+        elif degree == 2:
+            u, w = ns if len(ns) == 2 else (*ns, *ns)
+            if v not in forbidden and u in forbidden and w in forbidden:
+                # bypassing commits to a solution without v, which needs a
+                # free endpoint to swap onto; leave v to the branching
                 continue
-        for w in touched:
-            if w not in queued:
-                queued.add(w)
-                heapq.heappush(heap, w)
+            bypass = True
+        # delete v; a degree-2 vertex is bypassed by then joining its two ends
+        del adj[v]
+        for x in ns:
+            del adj[x][v]
+            if x not in queued:
+                queued.add(x)
+                heappush(heap, x)
+        if bypass:
+            if u == w:
+                adj[u][u] = 1
+            else:
+                adj[u][w] = adj[w][u] = 2 if w in adj[u] else 1
     return forced
 
 

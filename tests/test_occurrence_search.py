@@ -269,3 +269,25 @@ def test_simple_paths_match_the_recursive_walk():
         blocked = frozenset(v for v in range(g.n) if v not in (a, b) and rng.random() < 0.2)
         expected = [tuple(p) for p in _reference_simple_paths(g, a, b, blocked, hosts)]
         assert list(tr._simple_paths(g, a, b, blocked, hosts)) == expected, (g, a, b, blocked, hosts)
+
+
+@pytest.mark.parametrize("relation", tr.RELATIONS)
+def test_family_occurrence_matches_contains_over_the_patterns(relation):
+    # the hitting solver searches through _family_occurrence, with plans kept
+    # on the family and no range check; it must return the first occurrence
+    # that the public contains finds over the family's patterns, in order
+    rng = random.Random(f"family-occurrence-{relation}")
+    names = sorted(PATTERNS)
+    found = missing = later = 0
+    for case in range(150):
+        g = random_graph(rng, rng.randint(5, 10), rng.choice([0.25, 0.4, 0.55]))
+        fam = tr.HitFamily.explicit([PATTERNS[name] for name in rng.sample(names, rng.randint(1, 3))], relation)
+        for _ in range(3):  # the family's plans are built once and reused
+            allowed = frozenset(v for v in range(g.n) if rng.random() < 0.8)
+            occs = [contains(g, h, relation, allowed) for h in fam.patterns]
+            expected = next((occ for occ in occs if occ is not None), None)
+            assert tr._family_occurrence(g, fam, allowed) == expected, (case, fam, g, allowed)
+            found += expected is not None
+            missing += expected is None
+            later += occs[0] is None and expected is not None
+    assert found >= 100 and missing >= 100 and later >= 25, (found, missing, later)

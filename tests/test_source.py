@@ -77,6 +77,19 @@ def test_benchmark_traced_names_exist():
     assert not missing, "traced names missing from the library: " + ", ".join(missing)
 
 
+def test_no_wrapped_module_attributes():
+    # ``bench/smoke.py`` reports every ``contrablock`` module attribute that
+    # has ``__wrapped__`` as a tracing wrapper left behind (its FOUND line in
+    # CHANGES.md), so ``functools.cache``, ``lru_cache`` or ``wraps`` on a
+    # module-level function fails all three smoke workloads; this finds it here
+    modules = [contrablock] + [importlib.import_module(f"contrablock.{path.stem}")
+                               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    assert len(modules) >= 8
+    wrapped = [f"{module.__name__}.{name}" for module in modules
+               for name, obj in vars(module).items() if hasattr(obj, "__wrapped__")]
+    assert not wrapped, "module attributes with __wrapped__: " + ", ".join(wrapped)
+
+
 # searches whose recursion depth is bounded by a budget, and the exact
 # hitting solver, which recurses once per picked vertex: it is not bounded by
 # a budget, so `tau p1500.gr --family pattern:k2.gr` still passes the

@@ -285,6 +285,42 @@ class TestWorklistReduction:
         # both the infeasible exit and the both-endpoints-forbidden skip ran
         assert infeasible >= 20 and skipped >= 20
 
+    def test_gadget_multigraphs_match_sorted_rescan(self):
+        # the theorem-1 (C4) and theorem-2 (clique 3) gadgets of the first
+        # ten clean formulas, and single-edge quotients of them as
+        # first_dropping_edge builds, carry long chains of degree-2 vertices
+        # that the random multigraphs above are too small to reach
+        from itertools import islice
+
+        from contrablock.graphs import contract_set
+        from contrablock.reductions import (
+            build_double_copy_instance,
+            build_subdivided_clique_instance,
+            enumerate_clean_formulas,
+        )
+        from contrablock.transversal import _mg_copy, _mg_from_graph, _mg_reduce
+
+        rng = random.Random(4092)
+        formulas = list(islice((phi for n in range(1, 6) for phi in enumerate_clean_formulas(n)), 10))
+        hosts = removed = forced = 0
+        for phi in formulas:
+            for inst in (build_double_copy_instance(phi, cycle_graph(4)), build_subdivided_clique_instance(phi, 3)):
+                g = inst.graph
+                edges = rng.sample(g.sorted_edges(), 6)
+                for host in [g] + [contract_set(g, [e]).quotient for e in edges]:
+                    adj = _mg_from_graph(host)
+                    frac = rng.choice([0.0, 0.0, 0.1, 0.3])
+                    forbidden = frozenset(v for v in adj if rng.random() < frac)
+                    want_adj = _mg_copy(adj)
+                    want = _reference_reduce(want_adj, forbidden)
+                    assert _mg_reduce(adj, forbidden) == want, (phi.clauses, host.n, forbidden)
+                    assert adj == want_adj, (phi.clauses, host.n, forbidden)
+                    hosts += 1
+                    removed += host.n - len(adj)
+                    forced += len(want or ())
+        # chains bypassed into loops, which force their vertex
+        assert hosts == 140 and removed >= 100 * hosts and forced >= 500, (removed, forced)
+
     def test_large_subdivided_tree(self):
         # complete binary tree on 1023 hubs, every tree edge subdivided by three
         # fresh vertices, and a triangle on a pendant edge at hub 0: thousands
