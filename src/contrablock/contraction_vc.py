@@ -18,7 +18,6 @@ from .graphs import (
     Edge,
     Graph,
     bfs,
-    bipartition,
     connected_components,
     contract_classes,
     contract_set,
@@ -26,12 +25,7 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
-from .vertex_cover import (
-    maximum_matching,
-    vc_branching,
-    vc_with_groups_fits,
-    vc_with_modulator,
-)
+from .vertex_cover import _modulator_setup, _modulator_splits, vc_branching
 
 TRACES = (
     "trivial-no",
@@ -213,12 +207,15 @@ def component_opt(c: Graph, d_prime: int, paper_convention: bool = False):
     return _component_opt(c, d_prime, paper_convention)[0]
 
 
-def _dp_with_witness(g: Graph, d: int, paper_convention: bool):
+def _dp_with_witness(g: Graph, d: int, paper_convention: bool, sizes):
     """(minimum count, sorted witness) for dropping the cover number by d,
     split over components whose cover numbers are all at most d; (inf, None)
-    when no split is attainable.  One forward pass over the components keeps
-    ``best[j]``, the cheapest drop of j so far; each j tries its component's
-    share q in ascending order and keeps the first strict minimum.
+    when no split is attainable.  ``sizes`` holds those cover numbers in
+    ``connected_components`` order, as ``_large_component`` finds them; at
+    d = 0 every share is 0 and none is read.  One forward pass over the
+    components keeps ``best[j]``, the cheapest drop of j so far; each j
+    tries its component's share q in ascending order and keeps the first
+    strict minimum.
 
     A component's optimum is finite for q up to its cover number (one less
     under ``paper_convention``) and inf above, so ``opts`` stops at the first
@@ -227,9 +224,8 @@ def _dp_with_witness(g: Graph, d: int, paper_convention: bool):
     if d < 0:
         raise ValueError("drop must be non-negative")
     best = [(0, ())]
-    for comp in connected_components(g):
+    for comp, vc_sub in zip(connected_components(g), sizes):
         sub, old = induced_subgraph(g, comp)
-        vc_sub = vc_branching(sub).size if d > 0 else None  # one exact cover for every share q >= 1
         opts = []
         for q in range(d + 1):
             val, wit = _component_opt(sub, q, paper_convention, vc_sub)
@@ -252,43 +248,47 @@ def _dp_with_witness(g: Graph, d: int, paper_convention: bool):
     return count, tuple(sorted(edges))
 
 
-def _large_component(g: Graph, d: int) -> list[int] | None:
-    """The first component whose cover number exceeds d, or None."""
+def _large_component(g: Graph, d: int) -> tuple[list[int] | None, list[int]]:
+    """(the first component whose cover number exceeds d, or None, and the
+    cover numbers of the components before it)."""
+    sizes = []
     for comp in connected_components(g):
-        if vc_branching(g, d, comp) is None:
-            return comp
-    return None
+        cover = vc_branching(g, d, comp)
+        if cover is None:
+            return comp, sizes
+        sizes.append(cover.size)
+    return None, sizes
 
 
 def dp_min_contract(g: Graph, d: int, paper_convention: bool = False):
     """Minimum contraction count over a graph whose components all have cover
     number <= d, combined across components by a drop-allocation DP."""
-    if d > 0 and _large_component(g, d) is not None:
+    big, sizes = _large_component(g, d)
+    if d > 0 and big is not None:
         raise ValueError("every component must have cover number at most the drop")
-    return _dp_with_witness(g, d, paper_convention)[0]
+    return _dp_with_witness(g, d, paper_convention, sizes)[0]
 
 
-def _class_decision(g: Graph, anchors, budget: int):
+def _class_decision(g: Graph, anchors, budget: int, rest, left, start):
     """``fits(f, cls)``: whether contracting the edge set ``f``, whose class
-    map is ``cls``, leaves a vertex cover of at most ``budget``.  ``g -
-    anchors`` must be bipartite; it is coloured and matched once here.
+    map is ``cls``, leaves a vertex cover of at most ``budget``.  ``rest``,
+    ``left`` and ``start`` are ``_modulator_setup``'s colouring and
+    matching of ``g - anchors``, made once for every set.
 
     Each class of two or more vertices holds an edge of f, so every vertex
     outside ``anchors`` and V(f) is a class of its own: the quotient minus
     the classes of those vertices is ``g`` minus them, a bipartite induced
     subgraph of ``g - anchors``.  Those classes are the modulator, and each
     split's matching starts from the matching of ``g - anchors``."""
-    rest = set(range(g.n)).difference(anchors)
-    left = bipartition(g, rest)[0]
-    start = maximum_matching(g, left, rest)
 
     def fits(f, cls):
         touched = set(anchors).union(*f)
         groups: dict[int, list[int]] = {}
         for v in sorted(touched):
             groups.setdefault(cls[v], []).append(v)
-        return vc_with_groups_fits(g, list(groups.values()), rest - touched,
-                                   [v for v in left if v not in touched], budget, start)
+        splits = _modulator_splits(g, list(groups.values()), budget, rest - touched,
+                                   [v for v in left if v not in touched], start)
+        return any(True for _ in splits)
 
     return fits
 
@@ -297,11 +297,15 @@ def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | N
     """The first edge set of at most k edges, by size and then in sorted
     order, whose contraction drops the cover number by d, or None.  Every
     cover question goes through the modulator built from the bc witness
-    plus merged classes; each edge set only asks, on g, whether the cover
-    of its contraction fits the target."""
+    plus merged classes, over one colouring and matching of g minus the
+    witness ends: g's own cover number is the smallest split of the
+    anchors, and each edge set only asks, on g, whether the cover of its
+    contraction fits the target."""
     anchors = sorted({v for e in low_bc_witness for v in e})
-    target = vc_with_modulator(g, anchors).size - d
-    fits = _class_decision(g, anchors, target)
+    groups = [[v] for v in anchors]
+    setup = _modulator_setup(g, groups)
+    target = min(size for size, _, _ in _modulator_splits(g, groups, None, *setup)) - d
+    fits = _class_decision(g, anchors, target, *setup)
     return _first_drop(g, range(d, k + 1), target, fits)  # each contraction drops the cover by <= 1
 
 
@@ -316,9 +320,9 @@ def _cascade(g: Graph, k: int, d: int, paper_convention: bool):
     low_bc_witness = bc_decide(g, d - 1)
     if low_bc_witness is None:
         return d, lambda: _spanning_forest_witness(g, d), "bc-large"  # fewer than d never drop by d
-    big = _large_component(g, d)
+    big, sizes = _large_component(g, d)
     if big is None:
-        return (*_dp_with_witness(g, d, paper_convention), "small-components")
+        return (*_dp_with_witness(g, d, paper_convention, sizes), "small-components")
     if k >= 2 * d:
         witness = tuple(two_approx_drop(g, big, d))
         return len(witness), witness, "lemma3-budget"

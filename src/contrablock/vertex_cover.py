@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bfs, bipartition, checked_vertices, components, contract_edge, split_solve
+from .graphs import Graph, bfs, bipartition, checked_edges, checked_vertices, components, split_solve
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,19 @@ def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
     return CoverResult(len(cover), frozenset(cover))
 
 
-def _modulator_splits(g: Graph, groups, rest, left, budget: int | None, start: dict[int, int]):
+def _modulator_setup(g: Graph, groups):
+    """(rest, left, start) for ``_modulator_splits`` over ``groups``,
+    disjoint vertex lists of g: ``rest`` holds every other vertex, ``left``
+    is one side of its colouring and ``start`` a maximum matching of it.
+    ValueError when ``rest`` is not bipartite."""
+    rest = set(range(g.n)).difference(*groups)
+    sides = bipartition(g, rest)
+    if sides is None:
+        raise ValueError("graph minus modulator is not bipartite")
+    return rest, sides[0], maximum_matching(g, sides[0], rest)
+
+
+def _modulator_splits(g: Graph, groups, budget: int | None, rest, left, start: dict[int, int]):
     """Each feasible split of a bipartite modulator, in mask order, as
     (size, taken, remaining).
 
@@ -196,7 +208,9 @@ def _modulator_splits(g: Graph, groups, rest, left, budget: int | None, start: d
     in.  ``taken`` holds the members of the groups inside and the forced
     vertices, ``remaining`` the vertices of ``rest`` still to cover, and
     ``size`` the split's minimum cover: one per group inside, one per forced
-    vertex, plus a maximum matching of ``remaining`` (König).
+    vertex, plus a maximum matching of ``remaining`` (König).  So the
+    smallest size is the cover number of that contracted graph, and a first
+    split answers whether it fits ``budget``; no cover is built.
 
     Each split's matching starts from the pairs of ``start``, a matching of
     g, that lie inside ``remaining``.  With a ``budget`` only the splits
@@ -235,54 +249,28 @@ def _modulator_splits(g: Graph, groups, rest, left, budget: int | None, start: d
             yield size, inside | forced, remaining
 
 
-def _singleton_groups(g: Graph, modulator):
-    """(groups, rest, left, start) for ``_modulator_splits`` when each
-    modulator vertex is its own group: ``g - modulator`` is coloured and
-    matched once.  An invalid modulator raises ValueError."""
-    b = sorted(set(modulator))
-    for v in b:
-        if not 0 <= v < g.n:
-            raise ValueError(f"modulator vertex {v} out of range")
-    rest = set(range(g.n)).difference(b)
-    sides = bipartition(g, rest)
-    if sides is None:
-        raise ValueError("graph minus modulator is not bipartite")
-    return [[v] for v in b], rest, sides[0], maximum_matching(g, sides[0], rest)
-
-
 def vc_with_modulator(g: Graph, modulator) -> CoverResult:
     """Minimum vertex cover when deleting ``modulator`` leaves a bipartite
     graph: try every split of the modulator into cover / non-cover vertices;
     non-cover vertices force their whole neighborhood into the cover, and the
     first smallest split's bipartite remainder is solved exactly."""
-    groups, rest, left, start = _singleton_groups(g, modulator)
-    splits = _modulator_splits(g, groups, rest, left, None, start)
-    best = min(splits, key=lambda split: split[0], default=None)
-    if best is None:
-        raise RuntimeError("the mask with every modulator vertex inside always works")
-    cover = best[1] | vc_bipartite(g, best[2]).cover
+    b = sorted(set(modulator))
+    for v in b:
+        if not 0 <= v < g.n:
+            raise ValueError(f"modulator vertex {v} out of range")
+    groups = [[v] for v in b]
+    _, taken, remaining = min(_modulator_splits(g, groups, None, *_modulator_setup(g, groups)),
+                              key=lambda split: split[0])
+    cover = taken | vc_bipartite(g, remaining).cover
     return CoverResult(len(cover), frozenset(cover))
-
-
-def vc_with_groups_fits(g: Graph, groups, rest, left, budget: int, start: dict[int, int]) -> bool:
-    """Whether the graph made from g by contracting each of ``groups`` to one
-    vertex has a vertex cover of at most ``budget``, decided on g without
-    building that graph or a cover; the arguments are those of
-    ``_modulator_splits``, and the first split that fits answers."""
-    return any(True for _ in _modulator_splits(g, groups, rest, left, budget, start))
-
-
-def vc_with_modulator_fits(g: Graph, modulator, budget: int) -> bool:
-    """Whether ``vc_with_modulator(g, modulator).size <= budget``, decided
-    without building a cover: the first split whose size fits answers."""
-    groups, rest, left, start = _singleton_groups(g, modulator)
-    return vc_with_groups_fits(g, groups, rest, left, budget, start)
 
 
 def vc_after_contraction(g: Graph, e) -> int:
     """vc of g/e for bipartite g, via the two splits of the merged vertex w:
-    min(1 + vc(G_e - w), |N(w)| + vc(G_e - N[w])), both parts bipartite."""
+    min(1 + vc(G_e - w), |N(w)| + vc(G_e - N[w])), both parts bipartite.
+    The splits are sized on g with e's ends as one group, so no quotient is
+    built."""
     if bipartition(g) is None:
         raise ValueError("graph is not bipartite")
-    res = contract_edge(g, tuple(e))
-    return vc_with_modulator(res.quotient, [res.vmap[tuple(e)[0]]]).size
+    groups = [list(checked_edges(g, [e])[0])]
+    return min(size for size, _, _ in _modulator_splits(g, groups, None, *_modulator_setup(g, groups)))

@@ -108,9 +108,9 @@ def _reference_algorithm1(g, k, d):
     low_bc_witness = bc_decide(g, d - 1)
     if low_bc_witness is None:
         return Decision(True, _spanning_forest_witness(g, d), "bc-large")
-    big = _large_component(g, d)
+    big, sizes = _large_component(g, d)
     if big is None:
-        value, witness = _dp_with_witness(g, d, paper_convention=False)
+        value, witness = _dp_with_witness(g, d, paper_convention=False, sizes=sizes)
         if value <= k:
             return Decision(True, witness, "small-components")
         return Decision(False, None, "small-components")
@@ -141,7 +141,7 @@ def _reference_contraction_vc_1(g: Graph) -> Decision:
 def _reference_min_contract_vc(g, d, paper_convention=False):
     if vc_branching(g).size < d:
         return None
-    if paper_convention and _large_component(g, d) is None:
+    if paper_convention and _large_component(g, d)[0] is None:
         value = dp_min_contract(g, d, paper_convention=True)
         return None if math.isinf(value) else int(value)
     forest_bound = sum(len(c) - 1 for c in connected_components(g))
@@ -158,7 +158,7 @@ def _reference_min_contract_2approx(g, d, paper_convention=False):
         return None
     if bc_decide(g, d - 1) is None:
         return d
-    big = _large_component(g, d)
+    big = _large_component(g, d)[0]
     if big is None:
         value = dp_min_contract(g, d, paper_convention)
         return None if math.isinf(value) else int(value)
@@ -170,7 +170,7 @@ def _reference_dp_with_witness(g, d, paper_convention):
         raise ValueError("drop must be non-negative")
     if d == 0:
         return 0, ()
-    if _large_component(g, d) is not None:
+    if _large_component(g, d)[0] is not None:
         raise ValueError("every component must have cover number at most the drop")
     subs = [induced_subgraph(g, c) for c in connected_components(g)]
 
@@ -307,7 +307,8 @@ def test_dp_with_witness_matches_reference():
                     assert _outcome(dp_min_contract, g, d, paper_convention) == want, (g.edges, d)
                     seen["refused"] += 1
                     continue
-                assert _dp_with_witness(g, d, paper_convention) == want, (g.edges, d)
+                sizes = _large_component(g, d)[1]
+                assert _dp_with_witness(g, d, paper_convention, sizes) == want, (g.edges, d)
                 assert dp_min_contract(g, d, paper_convention) == want[0], (g.edges, d)
                 count, witness = want
                 if math.isinf(count):
@@ -342,9 +343,10 @@ def test_drop_far_above_the_cover_number_is_cheap(paper_convention, monkeypatch)
 
 
 def test_dp_solves_each_component_cover_once(monkeypatch):
-    # four disjoint P4s at k = d = 4: one unbounded cover per component for
-    # every share the DP asks of it; the budgeted calls are the cascade's
-    # vc < d check and _large_component on g, and one quotient fit each
+    # four disjoint P4s at k = d = 4: the DP reads each component's cover
+    # number from _large_component's budgeted search, so it solves no
+    # unbounded cover; the budgeted calls are the cascade's vc < d check,
+    # _large_component's four on g, and one quotient fit each
     calls = Counter()
     real = contraction_vc.vc_branching
 
@@ -357,7 +359,7 @@ def test_dp_solves_each_component_cover_once(monkeypatch):
     for _ in range(3):
         g = disjoint_union(g, path_graph(4))
     assert algorithm1(g, 4, 4) == Decision(True, ((0, 1), (4, 5), (8, 9), (12, 13)), "small-components")
-    assert calls == Counter({"unbounded": 4, "budgeted": 9}), calls
+    assert calls["unbounded"] == 0 and calls["budgeted"] == 9, calls
 
 
 @pytest.mark.parametrize("d", [21, 10**5])

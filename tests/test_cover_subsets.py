@@ -358,6 +358,10 @@ def test_large_component_matches_reference():
     for rng, g, _ in _corpus(4009, 2000):
         d = rng.randint(1, 3)
         want = _reference_large_component(g, d)
-        assert _large_component(g, d) == want, (g, d)
+        big, sizes = _large_component(g, d)
+        assert big == want, (g, d)
+        comps = connected_components(g)
+        before = comps if want is None else comps[:comps.index(want)]
+        assert sizes == [vc_branching(induced_subgraph(g, comp)[0]).size for comp in before], (g, d)
         found += want is not None
     assert 200 <= found <= 1800

@@ -7,9 +7,10 @@ tried every edge set, including sets with an edge that closes a cycle.
 ``_reference_enumerate`` is the enumeration before it walked acyclic edge
 prefixes and refused sets by a matching bound: it built the quotient of every
 ``combinations`` set and skipped those that closed a cycle.  The new code
-must return exactly the same quotients, values and witnesses, and
-``vc_with_modulator_fits`` must agree with the size of the full modulator
-solve at every budget.
+must return exactly the same quotients, values and witnesses, and the
+enumeration's decision must agree with the size of the full modulator solve
+at every budget.  The references ask that solve, ``vc_with_modulator``,
+whether its cover fits a budget.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from contrablock.graphs import (
     forest_sets,
     is_connected,
 )
-from contrablock.vertex_cover import maximum_matching, vc_branching, vc_with_modulator, vc_with_modulator_fits
+from contrablock.vertex_cover import _modulator_setup, maximum_matching, vc_branching, vc_with_modulator
 
 from .conftest import grid_graph, random_bipartite_graph, random_connected_graph, random_graph
 
@@ -98,7 +99,7 @@ def _reference_enumerate(g, k, d, low_bc_witness):
             if res.quotient.n > g.n - size:
                 continue
             modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
-            if vc_with_modulator_fits(res.quotient, modulator, target):
+            if vc_with_modulator(res.quotient, modulator).size <= target:
                 return f
     return None
 
@@ -116,6 +117,9 @@ def _random_modulator(rng, g):
 
 class TestModulatorDecision:
     def test_matches_the_full_solve_at_every_budget(self):
+        """The enumeration's decision, asked of the empty edge set with the
+        modulator as its anchors (one vertex per group), fits a budget
+        exactly when the full modulator solve's cover does."""
         rng = random.Random(7001)
         empty = 0
         for _ in range(2000):
@@ -126,8 +130,11 @@ class TestModulatorDecision:
             for mod in mods:
                 empty += not mod
                 opt = vc_with_modulator(g, mod).size
+                anchors = sorted(mod)
+                setup = _modulator_setup(g, [[v] for v in anchors])
                 for budget in range(opt - 2, opt + 3):
-                    assert vc_with_modulator_fits(g, mod, budget) == (opt <= budget), (g, mod, budget)
+                    fits = _class_decision(g, anchors, budget, *setup)
+                    assert fits((), range(g.n)) == (opt <= budget), (g, mod, budget)
         assert empty >= 200
 
     def test_invalid_modulators_raise_the_same_errors(self):
@@ -135,18 +142,16 @@ class TestModulatorDecision:
         odd = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(3, 9), 0.5)
-            bad = [{g.n}, {-1}, {0, g.n + 2}]
+            bad = [({g.n}, g.n), ({-1}, -1), ({0, g.n + 2}, g.n + 2)]
+            bad = [(mod, f"modulator vertex {v} out of range") for mod, v in bad]
             mod = {v for v in range(g.n) if rng.random() < 0.2}
             if bipartition(g, set(range(g.n)) - mod) is None:
-                bad.append(mod)
+                bad.append((mod, "graph minus modulator is not bipartite"))
                 odd += 1
-            for mod in bad:
-                with pytest.raises(ValueError) as full:
+            for mod, message in bad:
+                with pytest.raises(ValueError) as err:
                     vc_with_modulator(g, mod)
-                for budget in (-1, 0, g.n):
-                    with pytest.raises(ValueError) as fits:
-                        vc_with_modulator_fits(g, mod, budget)
-                    assert str(fits.value) == str(full.value)
+                assert str(err.value) == message
         assert odd >= 50
 
 
@@ -256,14 +261,15 @@ class TestClassDecision:
         anchors = sorted({v for e in low_bc_witness for v in e})
         target = vc_with_modulator(g, anchors).size - d
         budgets = range(target - 2, target + 3)
-        decisions = [_class_decision(g, anchors, budget) for budget in budgets]
+        setup = _modulator_setup(g, [[v] for v in anchors])
+        decisions = [_class_decision(g, anchors, budget, *setup) for budget in budgets]
         for size in range(2 * d):
             for f, cls in forest_sets(g, size):
                 res = contract_classes(g, cls)
                 modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
+                opt = vc_with_modulator(res.quotient, modulator).size
                 for budget, fits in zip(budgets, decisions):
-                    assert fits(f, cls) == vc_with_modulator_fits(res.quotient, modulator, budget), (
-                        g, f, budget)
+                    assert fits(f, cls) == (opt <= budget), (g, f, budget)
 
 
 def _relabelled(rng, g):
@@ -300,21 +306,19 @@ class TestWarmStart:
 
 class TestEnumerationCalls:
     def test_grid_enumeration_decides_each_quotient(self, monkeypatch):
-        """On grid 4x4 at k = 5, d = 3 the enumeration solves one full
-        modulator cover, for its target, and decides every edge set without
-        a König cover extraction.  Of the 5,388 acyclic sets it walks, the
-        matching bound refuses all but 960, and each of those is decided on
-        g through the class map ``forest_sets`` holds: no quotient is built.
-        Three colourings and three matchings start from nothing (the
-        target's split sizing and cover, and the enumeration's own of
-        g - anchors); every split matching is warm-started.  Each counter
-        wraps the module attribute its caller resolves."""
-        calls = {"full": 0, "fits": 0, "bipartite_outside_full": 0, "sets": 0, "cut": 0,
-                 "contract_set": 0, "contract_classes": 0, "bipartition": 0,
+        """On grid 4x4 at k = 5, d = 3 the enumeration solves no full
+        modulator cover and extracts no König cover: its target is the
+        smallest split of the anchors.  Of the 5,388 acyclic sets it walks,
+        the matching bound refuses all but 960, and each of those is decided
+        on g through the class map ``forest_sets`` holds: no quotient is
+        built.  One set-up colours and matches g - anchors from nothing,
+        and every split matching, the target's among them, is warm-started
+        from it.  Each counter wraps the module attribute its caller
+        resolves."""
+        calls = {"full": 0, "bipartite": 0, "setup": 0, "splits": 0, "fits": 0, "sets": 0,
+                 "cut": 0, "contract_set": 0, "contract_classes": 0, "bipartition": 0,
                  "maximum_matching": 0, "augment": 0}
-        inside_full = [0]
-        full, fits = contraction_vc.vc_with_modulator, contraction_vc.vc_with_groups_fits
-        bipartite = vertex_cover.vc_bipartite
+        decision = contraction_vc._class_decision
         sets, exceeds = contraction_vc.forest_sets, contraction_vc._matching_exceeds
 
         def counted_sets(*args):
@@ -333,35 +337,25 @@ class TestEnumerationCalls:
                 return fn(*args)
             return wrapper
 
-        def counted_full(*args):
-            calls["full"] += 1
-            inside_full[0] += 1
-            try:
-                return full(*args)
-            finally:
-                inside_full[0] -= 1
-
-        def counted_bipartite(*args):
-            if not inside_full[0]:
-                calls["bipartite_outside_full"] += 1
-            return bipartite(*args)
-
-        monkeypatch.setattr(contraction_vc, "vc_with_modulator", counted_full)
-        monkeypatch.setattr(contraction_vc, "vc_with_groups_fits", counted("fits", fits))
-        monkeypatch.setattr(vertex_cover, "vc_bipartite", counted_bipartite)
+        monkeypatch.setattr(contraction_vc, "_class_decision", lambda *args: counted("fits", decision(*args)))
         monkeypatch.setattr(contraction_vc, "forest_sets", counted_sets)
         monkeypatch.setattr(contraction_vc, "_matching_exceeds", counted_exceeds)
-        monkeypatch.setattr(vertex_cover, "_augment", counted("augment", vertex_cover._augment))
-        for module, name in [(contraction_vc, "contract_set"), (contraction_vc, "contract_classes"),
-                             (contraction_vc, "bipartition"), (vertex_cover, "bipartition"),
-                             (contraction_vc, "maximum_matching"), (vertex_cover, "maximum_matching")]:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module, name, key in [
+            (vertex_cover, "vc_with_modulator", "full"), (vertex_cover, "vc_bipartite", "bipartite"),
+            (contraction_vc, "_modulator_setup", "setup"), (contraction_vc, "_modulator_splits", "splits"),
+            (contraction_vc, "contract_set", "contract_set"),
+            (contraction_vc, "contract_classes", "contract_classes"),
+            (vertex_cover, "bipartition", "bipartition"),
+            (vertex_cover, "maximum_matching", "maximum_matching"), (vertex_cover, "_augment", "augment"),
+        ]:
+            monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
         dec = algorithm1(grid_graph(4, 4), 5, 3)
         assert dec.answer and dec.trace == "enumeration-yes"
         assert dec.witness == ((1, 2), (1, 5), (4, 5), (4, 8))
-        assert calls["full"] == 1 and calls["bipartite_outside_full"] == 0, calls
+        assert calls["full"] == 0 and calls["bipartite"] == 0, calls
         assert calls["sets"] == 5388 and calls["fits"] == 960, calls
         assert calls["sets"] - calls["fits"] == calls["cut"], calls
+        assert calls["setup"] == 1 and calls["splits"] == 1 + calls["fits"], calls
         assert calls["contract_set"] == 0 and calls["contract_classes"] == 0, calls
-        assert calls["bipartition"] == 3 and calls["maximum_matching"] == 3, calls
+        assert calls["bipartition"] == 1 and calls["maximum_matching"] == 1, calls
         assert calls["augment"] - calls["maximum_matching"] == 368, calls

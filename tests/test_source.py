@@ -255,3 +255,27 @@ def test_exports_are_the_imports_and_each_is_used():
     seen = set().union(*(_mentions(ast.parse(p.read_text(encoding="utf-8"))) for p in paths))
     unused = sorted(imported - seen)
     assert not unused, "exports nothing outside __init__ uses: " + ", ".join(unused)
+
+
+def test_public_functions_are_used_outside_the_tests():
+    # a public module-level function is exported from ``__init__``, or is
+    # mentioned by other library code or by the benchmark (its traced names
+    # included); one that only the tests call is dead code kept alive by its
+    # own tests
+    root = SRC.parents[1]
+    tops = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tops += [(path, node, _mentions(node)) for node in tree.body]
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((root / "bench").rglob("*.py"))]
+    used = set(contrablock.__all__).union(*map(_mentions, bench))
+    used |= {name.split(".")[-1] for name in _bench_names("TRACED_FUNCTIONS", "BUILDERS")}
+    public = [(path, node) for path, node, _ in tops
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
+    assert len(public) >= 40
+    unused = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno} {node.name}"
+        for path, node in public
+        if node.name not in used and not any(node.name in seen for _, other, seen in tops if other is not node)
+    ]
+    assert not unused, "public functions only the tests use: " + ", ".join(unused)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from contrablock import vertex_cover
+from contrablock import graphs, vertex_cover
 from contrablock.graphs import (
     Graph,
     complete_graph,
@@ -261,6 +261,23 @@ class TestAfterContraction:
     def test_rejects_odd_graph(self):
         with pytest.raises(ValueError):
             vc_after_contraction(cycle_graph(5), (0, 1))
+
+    def test_checks_bipartite_before_the_edge(self):
+        with pytest.raises(ValueError, match="^graph is not bipartite$"):
+            vc_after_contraction(cycle_graph(5), (0, 2))
+        for bad in [(0, 2), (2, 0), (1, 1), (0, 9), (-1, 0)]:
+            with pytest.raises(ValueError, match=r"^edge \(-?\d+, \d+\) not in graph$"):
+                vc_after_contraction(cycle_graph(4), bad)
+
+    def test_builds_no_quotient(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("quotient built")
+
+        for module in (graphs, vertex_cover):
+            for name in ("contract_edge", "contract_set", "contract_classes"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert vc_after_contraction(cycle_graph(6), (2, 3)) == 3
+        assert vc_after_contraction(path_graph(4), (1, 2)) == 1
 
     def test_matches_quotient_cover(self):
         rng = random.Random(13)
