@@ -278,17 +278,14 @@ def _class_decision(g: Graph, anchors, budget: int, rest, left, start):
     Each class of two or more vertices holds an edge of f, so every vertex
     outside ``anchors`` and V(f) is a class of its own: the quotient minus
     the classes of those vertices is ``g`` minus them, a bipartite induced
-    subgraph of ``g - anchors``.  Those classes are the modulator, and each
-    split's matching starts from the matching of ``g - anchors``."""
+    subgraph of ``g - anchors``.  Those classes are the modulator, and the
+    split loop takes the set-up of ``g - anchors`` as built."""
 
     def fits(f, cls):
-        touched = set(anchors).union(*f)
         groups: dict[int, list[int]] = {}
-        for v in sorted(touched):
+        for v in sorted(set(anchors).union(*f)):
             groups.setdefault(cls[v], []).append(v)
-        splits = _modulator_splits(g, list(groups.values()), budget, rest - touched,
-                                   [v for v in left if v not in touched], start)
-        return any(True for _ in splits)
+        return any(True for _ in _modulator_splits(g, list(groups.values()), budget, rest, left, start))
 
     return fits
 
@@ -304,7 +301,7 @@ def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | N
     anchors = sorted({v for e in low_bc_witness for v in e})
     groups = [[v] for v in anchors]
     setup = _modulator_setup(g, groups)
-    target = min(size for size, _, _ in _modulator_splits(g, groups, None, *setup)) - d
+    target = min(size for size, _, _ in _modulator_splits(g, groups, g.n, *setup)) - d
     fits = _class_decision(g, anchors, target, *setup)
     return _first_drop(g, range(d, k + 1), target, fits)  # each contraction drops the cover by <= 1
 

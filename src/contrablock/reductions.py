@@ -124,6 +124,9 @@ def parse_cnf(text: str) -> CleanFormula:
         raise CleanFormulaError(["unterminated final clause (missing 0)"])
     if len(clauses) != m:
         raise CleanFormulaError([f"header announced {m} clauses, found {len(clauses)}"])
+    literals = sum(map(len, clauses))
+    if n > literals:  # validation lists three violations per absent variable
+        raise CleanFormulaError([f"header announced {n} variables, found {literals} literals"])
     return clean_formula(n, clauses)
 
 

@@ -98,13 +98,13 @@ def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResu
     return None if sol is None else CoverResult(len(sol), sol)
 
 
-def _augment(g: Graph, left, alive, match: dict[int, int], limit: int | None = None) -> dict[int, int]:
+def _augment(g: Graph, left, alive, match: dict[int, int], limit: int) -> dict[int, int]:
     """Grow the bipartite matching ``match`` in place by one augmenting-path
-    search from each free vertex of ``left``, in sorted order, inside the
-    vertex set ``alive``; returns ``match``.  A free vertex with no
-    augmenting path has none after later augmentations either (Kuhn), so
-    one pass reaches a maximum matching from any starting matching.  With a
-    ``limit``, it stops as soon as the matching has more than ``limit`` pairs.
+    search inside the vertex set ``alive`` from each free vertex of ``left``
+    that lies in it, in sorted order; returns ``match``.  A free vertex with
+    no augmenting path has none after later augmentations either (Kuhn), so
+    one pass reaches a maximum matching from any starting matching.  It
+    stops as soon as the matching has more than ``limit`` pairs.
 
     Each search is a depth-first search on an explicit stack, so long paths
     cannot exhaust the interpreter's recursion limit.  A vertex's neighbours
@@ -118,9 +118,9 @@ def _augment(g: Graph, left, alive, match: dict[int, int], limit: int | None = N
         return iter(nbrs[u])
 
     for root in sorted(left):
-        if limit is not None and pairs > limit:
+        if pairs > limit:
             break
-        if root in match:
+        if root in match or root not in alive:
             continue
         seen: set[int] = set()
         stack = [(root, reach(root))]
@@ -151,12 +151,12 @@ def _augment(g: Graph, left, alive, match: dict[int, int], limit: int | None = N
 def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:
     """Maximum matching of a bipartite graph via augmenting paths; returns a
     symmetric vertex->partner map.  ``left`` must be one side; ``allowed``
-    restricts the graph to an induced vertex subset.  Both must be vertices
-    of ``g`` and are not checked: the callers pass one side of a
-    ``bipartition`` colouring, which checked them, and a range check here
-    cost the bounded enumeration about 4 %.  It is ``_augment`` run from an
-    empty matching."""
-    return _augment(g, left, set(range(g.n) if allowed is None else allowed), {})
+    restricts the graph to an induced vertex subset, and vertices of
+    ``left`` outside it are skipped.  ``allowed`` must hold vertices of
+    ``g`` and is not checked: the callers pass a set that ``bipartition``
+    checked, and a range check here cost the bounded enumeration about
+    4 %.  It is ``_augment`` run from an empty matching."""
+    return _augment(g, left, set(range(g.n) if allowed is None else allowed), {}, g.n)
 
 
 def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
@@ -196,27 +196,28 @@ def _modulator_setup(g: Graph, groups):
     return rest, sides[0], maximum_matching(g, sides[0], rest)
 
 
-def _modulator_splits(g: Graph, groups, budget: int | None, rest, left, start: dict[int, int]):
-    """Each feasible split of a bipartite modulator, in mask order, as
-    (size, taken, remaining).
+def _modulator_splits(g: Graph, groups, budget: int, rest, left, start: dict[int, int]):
+    """Each split of a bipartite modulator whose cover fits ``budget``, in
+    mask order, as (size, taken, remaining).
 
     The modulator is ``groups``, disjoint vertex lists of g, each one vertex
     of the graph made by contracting it; a group's neighbours are the union
-    of its members' neighbours in g.  Every other vertex is in ``rest``,
-    which induces a bipartite graph with ``left`` as one side.  A split puts
-    some groups in the cover, and each group left out forces its neighbours
-    in.  ``taken`` holds the members of the groups inside and the forced
-    vertices, ``remaining`` the vertices of ``rest`` still to cover, and
-    ``size`` the split's minimum cover: one per group inside, one per forced
-    vertex, plus a maximum matching of ``remaining`` (König).  So the
-    smallest size is the cover number of that contracted graph, and a first
-    split answers whether it fits ``budget``; no cover is built.
+    of its members' neighbours in g.  Every other vertex is in ``rest``, once
+    the groups' vertices are removed from it here, and ``left`` is one side
+    of its colouring.  A split puts some groups in the cover, and each group
+    left out forces its neighbours in.  ``taken`` holds the members of the
+    groups inside and the forced vertices, ``remaining`` the vertices of
+    ``rest`` still to cover, and ``size`` the split's minimum cover: one per
+    group inside, one per forced vertex, plus a maximum matching of
+    ``remaining`` (König).  So the smallest size is the cover number of that
+    contracted graph, and a first split answers whether it fits ``budget``;
+    no cover is built.  No size exceeds ``g.n``, a budget that refuses none.
 
     Each split's matching starts from the pairs of ``start``, a matching of
-    g, that lie inside ``remaining``.  With a ``budget`` only the splits
-    that fit it are yielded: a split whose forced part, or forced part plus
-    starting matching, already exceeds it is refused unsized, and the others
-    stop augmenting as soon as they exceed it."""
+    g, that lie inside ``remaining``.  A split whose forced part plus
+    starting matching already exceeds ``budget`` is refused unsized, and
+    the others stop augmenting as soon as they exceed it."""
+    rest = rest.difference(*groups)
     member = {v: i for i, grp in enumerate(groups) for v in grp}
     forces: list[set[int]] = []  # each group's neighbours in rest
     links: set[int] = set()  # the two bits of each pair of adjacent groups
@@ -226,25 +227,22 @@ def _modulator_splits(g: Graph, groups, budget: int | None, rest, left, start: d
         links.update(1 << i | 1 << member[w] for w in out if member.get(w, i) != i)
     base = {u: w for u, w in start.items() if u in rest and w in rest}
     for mask in range(1 << len(groups)):
-        if budget is not None and mask.bit_count() > budget:
+        if mask.bit_count() > budget:
             continue
         if not all(mask & link for link in links):
             continue  # an edge between two groups left out cannot be covered
         forced = set().union(*(forces[i] for i in range(len(groups)) if not mask >> i & 1))
         fixed = mask.bit_count() + len(forced)
-        limit = None if budget is None else budget - fixed
-        if limit is not None and limit < 0:
-            continue
         match = dict(base)
         for v in forced:
             if v in match:
                 del match[match.pop(v)]
-        if limit is not None and len(match) // 2 > limit:
+        if fixed + len(match) // 2 > budget:
             continue
         remaining = rest - forced
-        _augment(g, [v for v in left if v not in forced], remaining, match, limit)
+        _augment(g, left, remaining, match, budget - fixed)
         size = fixed + len(match) // 2
-        if limit is None or size <= budget:
+        if size <= budget:
             inside = set().union(*(groups[i] for i in range(len(groups)) if mask >> i & 1))
             yield size, inside | forced, remaining
 
@@ -259,7 +257,7 @@ def vc_with_modulator(g: Graph, modulator) -> CoverResult:
         if not 0 <= v < g.n:
             raise ValueError(f"modulator vertex {v} out of range")
     groups = [[v] for v in b]
-    _, taken, remaining = min(_modulator_splits(g, groups, None, *_modulator_setup(g, groups)),
+    _, taken, remaining = min(_modulator_splits(g, groups, g.n, *_modulator_setup(g, groups)),
                               key=lambda split: split[0])
     cover = taken | vc_bipartite(g, remaining).cover
     return CoverResult(len(cover), frozenset(cover))
@@ -273,4 +271,4 @@ def vc_after_contraction(g: Graph, e) -> int:
     if bipartition(g) is None:
         raise ValueError("graph is not bipartite")
     groups = [list(checked_edges(g, [e])[0])]
-    return min(size for size, _, _ in _modulator_splits(g, groups, None, *_modulator_setup(g, groups)))
+    return min(size for size, _, _ in _modulator_splits(g, groups, g.n, *_modulator_setup(g, groups)))

@@ -478,6 +478,12 @@ class TestValueErrorsExitTwo:
         bad.write_text(text)
         self.check(capsys, ["verify-claims", str(bad), "--theorem", "1"], f"{bad}: {message}")
 
+    def test_cnf_header_beyond_its_literals_is_one_short_line(self, tmp_path, capsys):
+        bad = tmp_path / "huge.cnf"
+        bad.write_text("p cnf 3000000 0\n")
+        message = f"{bad}: header announced 3000000 variables, found 0 literals"
+        self.check(capsys, ["verify-claims", str(bad), "--theorem", "1"], message)
+
     @pytest.mark.parametrize("argv", [
         ["vc", "{bad}"],
         ["verify-claims", "{bad}", "--theorem", "1"],

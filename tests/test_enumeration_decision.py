@@ -294,8 +294,9 @@ class TestWarmStart:
             survivors = [v for v in left if v in alive]
             want = len(maximum_matching(g, survivors, alive)) // 2
             start = {u: w for u, w in full.items() if u in alive and w in alive}
-            got = vertex_cover._augment(g, survivors, alive, dict(start))
+            got = vertex_cover._augment(g, survivors, alive, dict(start), g.n)
             assert len(got) // 2 == want, (g, alive)
+            assert vertex_cover._augment(g, left, alive, dict(start), g.n) == got, (g, alive)
             assert all(got[w] == u and w in g.adj[u] and u in alive for u, w in got.items()), (g, alive)
             grown += want > len(start) // 2
             for limit in range(len(start) // 2, want + 1):

@@ -231,6 +231,15 @@ class TestCleanValidation:
             parse_cnf(text)
         assert err.value.violations == [message]
 
+    def test_parse_cnf_refuses_more_variables_than_literals(self):
+        # one violation, not three per absent variable
+        with pytest.raises(CleanFormulaError) as err:
+            parse_cnf("p cnf 3000000 0\n")
+        assert err.value.violations == ["header announced 3000000 variables, found 0 literals"]
+        with pytest.raises(CleanFormulaError) as err:
+            parse_cnf("p cnf 3 1\n1 2 -3 0\n")  # at the bound each variable is still listed
+        assert len(err.value.violations) == 6
+
     @pytest.mark.parametrize("n,clauses,message", [
         (0, [], "formula must have at least one variable"),
         (2, [(1, 2), (1, -3), (-1, 2)], "clause 2 has out-of-range literal -3"),

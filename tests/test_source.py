@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import contrablock
@@ -279,3 +280,27 @@ def test_public_functions_are_used_outside_the_tests():
         if node.name not in used and not any(node.name in seen for _, other, seen in tops if other is not node)
     ]
     assert not unused, "public functions only the tests use: " + ", ".join(unused)
+
+
+def test_readme_names_exist():
+    # every backticked identifier in README.md that holds an underscore,
+    # possibly dotted or followed by a call's parentheses, names a
+    # module-level or class attribute of a ``contrablock`` module; a deleted
+    # or renamed function otherwise lingers in the prose
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    spans = (re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", span)
+             for span in re.findall(r"`([^`\n]+)`", readme))
+    names = sorted({m[1] for m in spans if m and "_" in m[1]})
+    assert len(names) >= 40
+    modules = [contrablock] + [importlib.import_module(f"contrablock.{path.stem}")
+                               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+
+    def resolves(obj, name):
+        for part in name.split("."):
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    missing = [name for name in names if not any(resolves(m, name) for m in modules)]
+    assert not missing, "README names missing from the library: " + ", ".join(missing)

@@ -5,6 +5,7 @@ import pytest
 from contrablock import graphs, vertex_cover
 from contrablock.graphs import (
     Graph,
+    bipartition,
     complete_graph,
     connected_components,
     contract_edge,
@@ -212,6 +213,15 @@ class TestBipartite:
         match = vertex_cover.maximum_matching(g, [0, 0, 2, 2])
         assert match == vertex_cover.maximum_matching(g, [0, 2]) == {0: 1, 1: 0, 2: 3, 3: 2}
 
+    def test_matching_skips_left_vertices_outside_the_graph(self):
+        # ``left`` vertices outside ``allowed`` (all of g by default) are
+        # skipped; ``allowed`` itself must hold vertices of g
+        g = path_graph(3)
+        assert vertex_cover.maximum_matching(g, [-1]) == {}
+        assert vertex_cover.maximum_matching(g, [5]) == {}
+        with pytest.raises(IndexError):
+            vertex_cover.maximum_matching(g, [7], [7])
+
     def test_koenig_self_check_raises(self, monkeypatch):
         # a matching smaller than the cover must fail loudly, also under python -O
         monkeypatch.setattr(vertex_cover, "maximum_matching", lambda g, left, allowed=None: {})
@@ -250,6 +260,57 @@ class TestModulator:
             res = vc_with_modulator(g, modulator)
             assert res.size == vc_branching(g).size, (g.edges, modulator)
             assert cover_is_valid(g, res.cover)
+
+
+def _random_groups(rng, g):
+    """Disjoint vertex groups of one to three vertices, and a set-up of g
+    over singletons inside them, as the enumeration's ``fits`` builds them:
+    the set-up's vertices are grown until the rest of g is bipartite, and
+    the groups hold them plus a few more vertices."""
+    mod = {v for v in range(g.n) if rng.random() < 0.15}
+    while bipartition(g, set(range(g.n)) - mod) is None:
+        mod.add(rng.choice(sorted(set(range(g.n)) - mod)))
+    setup = vertex_cover._modulator_setup(g, [[v] for v in sorted(mod)])
+    members = sorted(mod | {v for v in range(g.n) if rng.random() < 0.15})
+    rng.shuffle(members)
+    groups = []
+    while members:
+        cut = rng.randint(1, 3)
+        groups.append(sorted(members[:cut]))
+        members = members[cut:]
+    return groups, setup
+
+
+class TestSplitBudget:
+    def test_a_budget_keeps_the_splits_that_fit_it(self):
+        """Each budget from -1 to n yields exactly the splits of size at most
+        the budget among those of budget n, and budget n yields one split per
+        mask whose left-out groups are pairwise non-adjacent: the groups
+        inside and their neighbours forced in are taken, and the rest's cover
+        is sized by König."""
+        rng = random.Random(7101)
+        merged = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.35, 0.5]))
+            groups, setup = _random_groups(rng, g)
+            merged += any(len(grp) > 1 for grp in groups)
+            rest = set(range(g.n)).difference(*groups)
+            want = []
+            for mask in range(1 << len(groups)):
+                out = [grp for i, grp in enumerate(groups) if not mask >> i & 1]
+                near = [set().union(*(g.adj[v] for v in grp)) for grp in out]
+                if any(near[i] & set(out[j]) for i in range(len(out)) for j in range(len(out)) if i != j):
+                    continue
+                forced = set().union(*near) & rest
+                inside = {v for i, grp in enumerate(groups) if mask >> i & 1 for v in grp}
+                size = mask.bit_count() + len(forced) + vc_bipartite(g, rest - forced).size
+                want.append((size, inside | forced, rest - forced))
+            full = list(vertex_cover._modulator_splits(g, groups, g.n, *setup))
+            assert full == want, (g, groups)
+            for budget in range(-1, g.n + 1):
+                got = list(vertex_cover._modulator_splits(g, groups, budget, *setup))
+                assert got == [split for split in full if split[0] <= budget], (g, groups, budget)
+        assert merged >= 100, merged
 
 
 class TestAfterContraction:
