@@ -65,22 +65,34 @@ def bc_decide(g: Graph, k: int) -> list[Edge] | None:
     cycle of the current quotient.  Destroying every odd cycle requires
     contracting such an edge, so the search is complete.
 
-    The goal test on each new set is a 2-colouring of g itself that keeps
-    the colour inside a class and flips it between classes
-    (``contracted_coloring``), so a quotient is built only for a set the
-    search expands.
+    The goal test is a 2-colouring of g itself that keeps the colour
+    inside a class and flips it between classes (``contracted_coloring``),
+    so a quotient is built only for a set the search expands.  It runs only
+    on the root and on children whose edge joins two consecutive vertices
+    of the parent's cycle: contracting one edge maps every odd closed walk
+    that avoids that edge to an odd closed walk, so any other child keeps
+    the parent's cycle as an odd closed walk and is not bipartite.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")
     edges = g.sorted_edges()
+    candidates = {frozenset()}  # the root and the children that may be bipartite
 
     def children(chosen):
         res = contract_set(g, chosen)
-        on_cycle = set(shortest_odd_cycle(res.quotient))  # odd: its level failed the goal
+        cycle = shortest_odd_cycle(res.quotient)  # odd: its level failed the goal
+        on_cycle = set(cycle)
+        steps = set(zip(cycle, cycle[1:] + cycle[:1]))
         for e in edges:
             a, b = res.vmap[e[0]], res.vmap[e[1]]
             if a != b and (a in on_cycle or b in on_cycle):  # a == b: inside one class, no change
-                yield chosen | {e}
+                child = chosen | {e}
+                if (a, b) in steps or (b, a) in steps:
+                    candidates.add(child)
+                yield child
 
-    found = shallowest(frozenset(), lambda chosen: contracted_coloring(g, chosen) is not None, children, k)
+    def goal(chosen):
+        return chosen in candidates and contracted_coloring(g, chosen) is not None
+
+    found = shallowest(frozenset(), goal, children, k)
     return None if found is None else sorted(found)

@@ -405,31 +405,49 @@ def tree_cycle(parent: dict[int, int], v: int, w: int) -> list[int]:
 
 def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
     """A shortest odd cycle as a vertex list (consecutive and wrap-around
-    entries adjacent), or None when the graph is bipartite."""
+    entries adjacent), or None when the graph is bipartite.
+
+    Each root, in ascending order, grows its breadth-first tree level by
+    level with neighbours in ascending order, so parents and visiting order
+    are those of ``bfs``.  An edge between two vertices of level h closes
+    an odd cycle of length 2h + 1 through the tree (``tree_cycle``).  While
+    a level is expanded, its vertices are scanned in visiting order for a
+    larger neighbour on the same level; the first such edge, with its
+    smallest partner, ends the root's search, since every later odd edge of
+    the root is at least as long.  The cycle returned is that of the first
+    root, in ascending order, whose cycle has the minimum length: once a
+    cycle of length L is known, a later root stops before the first level
+    h with 2h + 1 >= L.  Only a root that exhausts its component without an
+    odd edge marks the component bipartite, so its other roots are skipped.
+    """
     alive = checked_vertices(g, allowed)
     best: list[int] | None = None
-    bipartite: set[int] = set()  # components whose search found no odd edge
+    bipartite: set[int] = set()
     for s in sorted(alive):
         if s in bipartite:
             continue
-        par = bfs(g.adj, [s], alive)
-        dist: dict[int, int] = {}
-        for v, p in par.items():
-            dist[v] = 0 if p == -1 else dist[p] + 1
-        odd = False
-        for v in par:
-            for w in sorted(g.adj[v]):
-                if w not in dist or w <= v:
-                    continue
-                if (dist[v] + dist[w]) % 2 == 0:
-                    odd = True
-                    length = dist[v] + dist[w] + 1
-                    if best is None or length < len(best):
-                        best = tree_cycle(par, v, w)
-        if not odd:
-            bipartite.update(par)  # no root of a bipartite component can close an odd cycle
-        if best is not None and len(best) == 3:
-            break
+        par = {s: -1}
+        level, length, edge = [s], 1, None
+        while level and edge is None and (best is None or length < len(best)):
+            on, following = set(level), []
+            for v in level:
+                for w in sorted(g.adj[v]):
+                    if w in on:
+                        if w > v:
+                            edge = v, w
+                            break
+                    elif w not in par and w in alive:
+                        par[w] = v
+                        following.append(w)
+                if edge is not None:
+                    break
+            level, length = following, length + 2
+        if edge is not None:
+            best = tree_cycle(par, *edge)
+            if len(best) == 3:
+                break
+        elif not level:
+            bipartite.update(par)
     return best
 
 

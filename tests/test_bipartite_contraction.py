@@ -15,8 +15,10 @@ from contrablock.graphs import (
     bipartition,
     complete_graph,
     contract_set,
+    contracted_coloring,
     cycle_graph,
     path_graph,
+    shortest_odd_cycle,
 )
 
 from .conftest import disjoint_union, min_coloring_cost, random_graph
@@ -176,14 +178,15 @@ class TestBcDecide:
                 if fast is not None:
                     assert len(fast) == len(slow), (g.edges, k)  # both are minimum
 
-    @pytest.mark.parametrize("g,k,witness,expanded,tested", [
-        (disjoint_union(complete_graph(4), cycle_graph(5)), 3, [(0, 1), (0, 2), (4, 5)], 8, 23),
-        (complete_graph(5), 2, None, 10, 55),
+    @pytest.mark.parametrize("g,k,witness,expanded,tested,colored", [
+        (disjoint_union(complete_graph(4), cycle_graph(5)), 3, [(0, 1), (0, 2), (4, 5)], 8, 23, 20),
+        (complete_graph(5), 2, None, 10, 55, 23),
     ], ids=["K4+C5", "K5"])
-    def test_quotients_only_for_expanded_states(self, g, k, witness, expanded, tested, monkeypatch):
-        # one contract_set per state the search expands, one colouring per
-        # state it tests (the root and each new child); the pinned counts
-        # let a later change show fewer nodes, not only fewer seconds
+    def test_quotients_only_for_expanded_states(self, g, k, witness, expanded, tested, colored, monkeypatch):
+        # one contract_set per state the search expands, one goal test per
+        # state it tests (the root and each new child), and one colouring per
+        # tested state that may be bipartite; the pinned counts let a later
+        # change show fewer nodes, not only fewer seconds
         calls = {"contract_set": 0, "coloring": 0, "expand": 0, "goal": 0}
 
         def counted(key, fn):
@@ -196,7 +199,34 @@ class TestBcDecide:
         monkeypatch.setattr(bipartite_contraction, "shallowest", lambda root, goal, children, hi: real(
             root, counted("goal", goal), counted("expand", children), hi))
         assert bc_decide(g, k) == witness
-        assert calls == {"contract_set": expanded, "coloring": tested, "expand": expanded, "goal": tested}
+        assert calls == {"contract_set": expanded, "coloring": colored, "expand": expanded, "goal": tested}
+
+    def test_children_off_the_cycle_stay_odd(self):
+        # the goal skips a child whose edge's quotient ends are not
+        # consecutive on the parent's shortest odd cycle: that cycle stays an
+        # odd closed walk once the edge is contracted
+        rng = random.Random(27)
+        skipped = 0
+        for _ in range(600):
+            g = random_graph(rng, rng.randint(3, 10), rng.choice([0.3, 0.5, 0.7]))
+            cls = list(range(g.n))
+            forest = []
+            for u, v in rng.sample(g.sorted_edges(), min(g.m, rng.randint(0, 4))):
+                if cls[u] != cls[v]:
+                    old = cls[v]
+                    cls = [cls[u] if c == old else c for c in cls]
+                    forest.append((u, v))
+            res = contract_set(g, forest)
+            cycle = shortest_odd_cycle(res.quotient)
+            if cycle is None:
+                continue
+            steps = set(zip(cycle, cycle[1:] + cycle[:1]))
+            for e in g.sorted_edges():
+                a, b = res.vmap[e[0]], res.vmap[e[1]]
+                if (a, b) not in steps and (b, a) not in steps:
+                    assert contracted_coloring(g, forest + [e]) is None, (g.sorted_edges(), forest, e)
+                    skipped += 1
+        assert skipped >= 2000, skipped
 
     def test_matches_coloring_oracle(self):
         # decision success must coincide with the existence of a cheap coloring

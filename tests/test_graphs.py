@@ -2,6 +2,7 @@ import dataclasses
 import random
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from contrablock.graphs import (
     Graph,
     GraphFormatError,
+    bfs,
     bipartition,
+    checked_vertices,
     complete_graph,
     connected_components,
     contract_edge,
@@ -22,11 +25,12 @@ from contrablock.graphs import (
     serialize_graph,
     shortest_odd_cycle,
     subdivide_edges,
+    tree_cycle,
 )
 from contrablock.transversal import contains
 from contrablock.vertex_cover import vc_bipartite, vc_branching
 
-from .conftest import disjoint_union, random_graph
+from .conftest import disjoint_union, random_bipartite_graph, random_graph
 
 
 def edge_subsets(draw_edges):
@@ -215,6 +219,86 @@ class TestStructureQueries:
 
     def test_subdivide_k4(self):
         assert subdivide_edges(complete_graph(4)).n == 10
+
+
+def _reference_shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
+    """``shortest_odd_cycle`` as it was before it searched level by level,
+    verbatim: a full ``bfs`` per root and a sorted scan of every edge."""
+    alive = checked_vertices(g, allowed)
+    best: list[int] | None = None
+    bipartite: set[int] = set()  # components whose search found no odd edge
+    for s in sorted(alive):
+        if s in bipartite:
+            continue
+        par = bfs(g.adj, [s], alive)
+        dist: dict[int, int] = {}
+        for v, p in par.items():
+            dist[v] = 0 if p == -1 else dist[p] + 1
+        odd = False
+        for v in par:
+            for w in sorted(g.adj[v]):
+                if w not in dist or w <= v:
+                    continue
+                if (dist[v] + dist[w]) % 2 == 0:
+                    odd = True
+                    length = dist[v] + dist[w] + 1
+                    if best is None or length < len(best):
+                        best = tree_cycle(par, v, w)
+        if not odd:
+            bipartite.update(par)  # no root of a bipartite component can close an odd cycle
+        if best is not None and len(best) == 3:
+            break
+    return best
+
+
+def _odd_girth(g: Graph, alive) -> int | None:
+    """The length of a shortest odd closed walk inside ``alive``, or None.
+    Such a walk never repeats a vertex, so this is the odd girth; it is
+    found by growing the walks from every vertex one step at a time, with
+    no search tree."""
+    reach = {v: {v} for v in alive}
+    for length in range(1, len(reach) + 1):
+        reach = {v: {w for u in ends for w in g.adj[u] if w in alive} for v, ends in reach.items()}
+        if length % 2 and any(v in ends for v, ends in reach.items()):
+            return length
+    return None
+
+
+class TestShortestOddCycle:
+    def test_matches_reference(self):
+        # the same cycle, not only the same length: bc_decide's and OCT's
+        # witnesses depend on which shortest odd cycle comes back
+        rng = random.Random(28)
+        kinds = {"odd": 0, "bipartite": 0, "allowed": 0, "bipartite first": 0}
+        for i in range(3200):
+            p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6])
+            if i % 4 == 0:
+                front = random_bipartite_graph(rng, 1, 11)
+                g = disjoint_union(front, random_graph(rng, rng.randint(3, 22 - front.n), rng.choice([0.35, 0.6])))
+            else:
+                g = random_graph(rng, rng.randint(1, 22), p)
+            allowed = None if rng.random() < 0.5 else [v for v in range(g.n) if rng.random() < rng.choice([0.5, 0.8])]
+            got = shortest_odd_cycle(g, allowed)
+            assert got == _reference_shortest_odd_cycle(g, allowed), (g.sorted_edges(), allowed)
+            kinds["odd" if got else "bipartite"] += 1
+            kinds["allowed"] += allowed is not None
+            kinds["bipartite first"] += i % 4 == 0 and got is not None and front.m > 0
+        assert min(kinds.values()) >= 300, kinds
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_none_iff_bipartite_and_length_is_the_odd_girth(self, g, rnd):
+        allowed = None if rnd.random() < 0.3 else {v for v in range(g.n) if rnd.random() < 0.8}
+        alive = set(range(g.n)) if allowed is None else allowed
+        sub = nx.Graph()
+        sub.add_nodes_from(alive)
+        sub.add_edges_from(e for e in g.edges if set(e) <= alive)
+        cycle = shortest_odd_cycle(g, allowed)
+        assert (cycle is None) == nx.is_bipartite(sub)
+        assert (None if cycle is None else len(cycle)) == _odd_girth(g, alive)
+        if cycle is not None:
+            assert len(set(cycle)) == len(cycle) and set(cycle) <= alive
+            assert all(g.has_edge(v, cycle[i - 1]) for i, v in enumerate(cycle))
 
 
 def test_induced_subgraph_matches_an_edge_scan():
