@@ -409,26 +409,29 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
 
     Each root, in ascending order, grows its breadth-first tree level by
     level with neighbours in ascending order, so parents and visiting order
-    are those of ``bfs``.  An edge between two vertices of level h closes
-    an odd cycle of length 2h + 1 through the tree (``tree_cycle``).  While
-    a level is expanded, its vertices are scanned in visiting order for a
-    larger neighbour on the same level; the first such edge, with its
-    smallest partner, ends the root's search, since every later odd edge of
-    the root is at least as long.  The cycle returned is that of the first
-    root, in ascending order, whose cycle has the minimum length: once a
-    cycle of length L is known, a later root stops before the first level
-    h with 2h + 1 >= L.  Only a root that exhausts its component without an
-    odd edge marks the component bipartite, so its other roots are skipped.
+    are those of ``bfs``.  While a level h is expanded, its vertices are
+    scanned in visiting order for a larger neighbour on the same level; the
+    first such edge, with its smallest partner, ends the root's search.  It
+    closes an odd cycle of at most 2h + 1 vertices through the tree
+    (``tree_cycle``), and it replaces the best cycle so far only when
+    2h + 1 is below the best's length; every later odd edge of the root
+    lies on level h or deeper.  So once a cycle of length L is known, a
+    root stops before the first level with 2h + 1 >= L, provided an
+    earlier search that found an odd edge visited it, so that its
+    component is known to be odd.  Any other root searches on, so that a
+    root that exhausts its component without an odd edge marks the
+    component bipartite and its other roots are skipped.
     """
     alive = checked_vertices(g, allowed)
     best: list[int] | None = None
     bipartite: set[int] = set()
+    odd: set[int] = set()
     for s in sorted(alive):
         if s in bipartite:
             continue
         par = {s: -1}
         level, length, edge = [s], 1, None
-        while level and edge is None and (best is None or length < len(best)):
+        while level and edge is None and (best is None or length < len(best) or s not in odd):
             on, following = set(level), []
             for v in level:
                 for w in sorted(g.adj[v]):
@@ -441,11 +444,14 @@ def shortest_odd_cycle(g: Graph, allowed=None) -> list[int] | None:
                         following.append(w)
                 if edge is not None:
                     break
-            level, length = following, length + 2
+            else:
+                level, length = following, length + 2
         if edge is not None:
-            best = tree_cycle(par, *edge)
-            if len(best) == 3:
-                break
+            odd.update(par)
+            if best is None or length < len(best):
+                best = tree_cycle(par, *edge)
+                if len(best) == 3:
+                    break
         elif not level:
             bipartite.update(par)
     return best

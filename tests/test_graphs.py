@@ -30,7 +30,7 @@ from contrablock.graphs import (
 from contrablock.transversal import contains
 from contrablock.vertex_cover import vc_bipartite, vc_branching
 
-from .conftest import disjoint_union, random_bipartite_graph, random_graph
+from .conftest import disjoint_union, grid_graph, random_bipartite_graph, random_graph
 
 
 def edge_subsets(draw_edges):
@@ -269,12 +269,13 @@ class TestShortestOddCycle:
         # the same cycle, not only the same length: bc_decide's and OCT's
         # witnesses depend on which shortest odd cycle comes back
         rng = random.Random(28)
-        kinds = {"odd": 0, "bipartite": 0, "allowed": 0, "bipartite first": 0}
+        kinds = {"odd": 0, "bipartite": 0, "allowed": 0, "bipartite first": 0, "bipartite last": 0}
         for i in range(3200):
             p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6])
-            if i % 4 == 0:
-                front = random_bipartite_graph(rng, 1, 11)
-                g = disjoint_union(front, random_graph(rng, rng.randint(3, 22 - front.n), rng.choice([0.35, 0.6])))
+            if i % 4 < 2:
+                part = random_bipartite_graph(rng, 1, 11)
+                odd = random_graph(rng, rng.randint(3, 22 - part.n), rng.choice([0.35, 0.6]))
+                g = disjoint_union(part, odd) if i % 4 == 0 else disjoint_union(odd, part)
             else:
                 g = random_graph(rng, rng.randint(1, 22), p)
             allowed = None if rng.random() < 0.5 else [v for v in range(g.n) if rng.random() < rng.choice([0.5, 0.8])]
@@ -282,8 +283,20 @@ class TestShortestOddCycle:
             assert got == _reference_shortest_odd_cycle(g, allowed), (g.sorted_edges(), allowed)
             kinds["odd" if got else "bipartite"] += 1
             kinds["allowed"] += allowed is not None
-            kinds["bipartite first"] += i % 4 == 0 and got is not None and front.m > 0
+            if i % 4 < 2 and got is not None and part.m > 0:
+                kinds["bipartite first" if i % 4 == 0 else "bipartite last"] += 1
         assert min(kinds.values()) >= 300, kinds
+
+    def test_bipartite_component_after_a_long_odd_cycle_is_searched_once(self):
+        # a root of the grid is not known to be in an odd component, so it
+        # searches on past the 101-cycle's 50 levels and marks the grid
+        # bipartite; stopping it there would search every grid root 50
+        # levels deep, seconds here
+        g = disjoint_union(cycle_graph(101), grid_graph(60, 60))
+        start = time.perf_counter()
+        cycle = shortest_odd_cycle(g)
+        assert time.perf_counter() - start < 1.0
+        assert cycle == list(range(101)) == _reference_shortest_odd_cycle(g)
 
     @given(graphs(), st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
