@@ -274,8 +274,8 @@ class TestShortestOddCycle:
             p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.6])
             if i % 4 < 2:
                 part = random_bipartite_graph(rng, 1, 11)
-                odd = random_graph(rng, rng.randint(3, 22 - part.n), rng.choice([0.35, 0.6]))
-                g = disjoint_union(part, odd) if i % 4 == 0 else disjoint_union(odd, part)
+                other = random_graph(rng, rng.randint(3, 22 - part.n), rng.choice([0.35, 0.6]))
+                g = disjoint_union(part, other) if i % 4 == 0 else disjoint_union(other, part)
             else:
                 g = random_graph(rng, rng.randint(1, 22), p)
             allowed = None if rng.random() < 0.5 else [v for v in range(g.n) if rng.random() < rng.choice([0.5, 0.8])]
