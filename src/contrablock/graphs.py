@@ -228,6 +228,23 @@ def contract_edge(g: Graph, e: Edge) -> ContractionResult:
     return contract_set(g, [e])
 
 
+def contract_edge_keeping_ids(g: Graph, e) -> Graph:
+    """``contract_edge(g, e).quotient`` on g's own numbering: the merged
+    vertex keeps the smaller end's id u, and the larger end v stays in the
+    graph as an isolated vertex.  Relabelling x -> x - (x > v) on every
+    vertex but v gives the quotient, in the same vertex order, and a vertex
+    set without u or v induces the same subgraph as in g.  ValueError when
+    e is not an edge of g."""
+    u, v = checked_edges(g, [e])[0]
+    adj = list(g.adj)
+    adj[u] = (g.adj[u] | g.adj[v]) - {u, v}
+    adj[v] = frozenset()
+    for w in g.adj[v]:
+        if w != u:
+            adj[w] = adj[w] - {v} | {u}
+    return Graph(g.n, tuple(adj))
+
+
 def bfs(adj, roots, allowed=None) -> dict[int, int]:
     """Breadth-first forest grown from each root not yet reached, in the
     given order, visiting neighbours in ascending order and staying inside

@@ -22,6 +22,7 @@ from .graphs import (
     checked_edges,
     checked_vertices,
     components,
+    contract_edge_keeping_ids,
     contract_set,
     depth_first,
     is_connected,
@@ -290,6 +291,12 @@ def _family_occurrence(g: Graph, fam: HitFamily, allowed) -> Occurrence | None:
     return None
 
 
+def _occurrence_vertices(g: Graph, fam: HitFamily, allowed) -> tuple[int, ...] | None:
+    """The vertices of ``_family_occurrence(g, fam, allowed)``, or None."""
+    occ = _family_occurrence(g, fam, allowed)
+    return None if occ is None else occ.vertices
+
+
 def _warn_if_not_antichain(fam: HitFamily) -> None:
     pats = fam.patterns
     for i, big in enumerate(pats):
@@ -298,7 +305,7 @@ def _warn_if_not_antichain(fam: HitFamily) -> None:
                 warnings.warn(
                     f"pattern {j} is contained in pattern {i} under {fam.relation}; "
                     "the family is not an antichain",
-                    stacklevel=3,
+                    stacklevel=4,
                 )
                 return
 
@@ -315,15 +322,17 @@ def _packing_lb(occurrence, alive: frozenset[int], stop_at: int) -> int:
         occ = occurrence(alive)
         if occ is None:
             break
-        alive = alive.difference(occ.vertices)
+        alive = alive.difference(occ)
         count += 1
     return count
 
 
-# ``occurrence`` below is ``_family_occurrence`` bound to one host graph and
-# family and cached per vertex set, so one ``min_transversal`` call searches
-# each vertex set at most once.  ``memo`` maps a component to ("exact", size,
-# picks) or ("lb", lower bound).  Each pick recurses once, on what is left.
+# ``occurrence`` below is ``_occurrence_vertices`` bound to one host graph
+# and family and cached per vertex set, so one ``min_transversal`` call
+# searches each vertex set at most once, and one ``first_dropping_edge`` scan
+# searches each vertex set without the merged vertex at most once.  ``memo``
+# maps a component to ("exact", size, picks) or ("lb", lower bound).  Each
+# pick recurses once, on what is left.
 
 
 def _hit_solve(g, occurrence, alive: frozenset[int], cap: int, memo) -> frozenset[int] | None:
@@ -345,7 +354,7 @@ def _hit_solve(g, occurrence, alive: frozenset[int], cap: int, memo) -> frozense
     if entry[1] > cap:
         return None
     best: frozenset[int] | None = None
-    for v in occ.vertices:
+    for v in occ:
         allowance = (len(best) - 2) if best is not None else (cap - 1)
         sub = _hit_solve(g, occurrence, alive - {v}, allowance, memo)
         if sub is not None:
@@ -367,16 +376,43 @@ def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
         if fam.patterns == "all-cycles":
             return feedback_vertex_set(g, budget)
         return odd_cycle_transversal(g, budget)
+    occurrence = functools.cache(lambda alive: _occurrence_vertices(g, fam, alive))
+    return _hit_transversal(g, fam, frozenset(range(g.n)), budget, occurrence)
+
+
+def _hit_transversal(g: Graph, fam: HitFamily, alive: frozenset[int], budget: int | None, occurrence):
+    """``min_transversal`` of the explicit family ``fam`` on the subgraph of
+    g that ``alive`` induces, where ``occurrence(vertex set)`` gives the
+    vertices of the set's first occurrence, or None."""
     _warn_if_not_antichain(fam)
-    cap = g.n if budget is None else min(budget, g.n)
-    occurrence = functools.cache(lambda alive: _family_occurrence(g, fam, alive))
-    everything = frozenset(range(g.n))
-    picks = _hit_solve(g, occurrence, everything, cap, {})
+    cap = len(alive) if budget is None else min(budget, len(alive))
+    picks = _hit_solve(g, occurrence, alive, cap, {})
     if picks is None:
         return None
-    if occurrence(everything - picks) is not None:
+    if occurrence(alive - picks) is not None:
         raise RuntimeError("transversal leaves a pattern occurrence")
     return len(picks), picks
+
+
+def _scan_occurrence(q: Graph, fam: HitFamily, u: int, shared: dict):
+    """``occurrence`` for ``_hit_transversal`` on ``q``, a single-edge
+    quotient built by ``contract_edge_keeping_ids`` whose merged vertex is
+    u.  A vertex set without u induces the same subgraph in q as in g, so
+    its first occurrence is the same in every quotient of the scan: it is
+    kept in ``shared`` under the set's bitmask, an int, which holds far
+    less memory than the set.  A set with u is searched once per quotient."""
+    own = functools.cache(lambda alive: _occurrence_vertices(q, fam, alive))
+    bits = [1 << x for x in range(q.n)]
+
+    def occurrence(alive):
+        if u in alive:
+            return own(alive)
+        key = sum(map(bits.__getitem__, alive))
+        if key not in shared:
+            shared[key] = _occurrence_vertices(q, fam, alive)
+        return shared[key]
+
+    return occurrence
 
 
 # -- dedicated feedback vertex set solver ------------------------------------
@@ -592,13 +628,57 @@ def hitting_number(g: Graph, fam: HitFamily) -> int:
     return res[0]
 
 
+def _fvs_neutral(g: Graph, e: Edge) -> bool:
+    """Has e an end b of degree 1, or of degree 2 whose other neighbour is
+    not adjacent to e's other end a?  Then contracting e keeps the feedback
+    vertex number (see ``first_dropping_edge``)."""
+    for a, b in (e, e[::-1]):
+        near = g.adj[b]
+        if len(near) == 1 or len(near) == 2 and g.adj[a].isdisjoint(near - {a}):
+            return True
+    return False
+
+
 def first_dropping_edge(g: Graph, fam: HitFamily, edges, tau: int) -> Edge | None:
     """The first edge of ``edges`` whose contraction brings the hitting
     number below ``tau``, or None.  A pair that is not an edge of g raises
-    ValueError before any quotient is solved; with tau = 0 no edge drops."""
+    ValueError before any quotient is solved; with tau = 0 no edge drops.
+
+    Each edge's quotient is solved within the budget tau - 1, but the scan
+    reuses what one contraction cannot change.
+
+    - All cycles (FVS): an edge ab is neutral when an end b has degree 1,
+      or degree 2 with its other neighbour z not adjacent to a.  Then g/ab
+      is g minus the leaf b, or g with the subdivision a-b-z of the edge az
+      undone.  Either keeps the feedback vertex number: a cycle through b
+      passes through a, so b in a minimum set can be swapped for a, and a
+      set without b hits the same cycles in both graphs (the degree <= 2
+      rules of FVS kernels; Bodlaender & van Dijk, TOCS 2010).  So every
+      neutral edge has the answer of the first one, which is solved as any
+      other edge, whatever ``tau`` is; once it has not dropped, later
+      neutral edges are skipped.
+    - Explicit patterns: each quotient is built on g's numbering by
+      ``contract_edge_keeping_ids``, with the merged vertex u and the other
+      end outside the alive set.  That numbering keeps ``contract_set``'s
+      vertex order, so every search visits candidates as it would there.  A
+      vertex set without u induces the same subgraph in g and in every such
+      quotient, so one cache for the whole scan holds the first occurrence
+      of each such set; sets with u keep a cache per quotient.
+    """
+    shared: dict[int, tuple[int, ...] | None] = {}
+    settled = False  # a neutral edge was solved and did not drop
     for e in checked_edges(g, edges):
-        quotient = contract_set(g, [e]).quotient
-        if min_transversal(quotient, fam, budget=tau - 1) is not None:
+        if not fam.symbolic:
+            q = contract_edge_keeping_ids(g, e)
+            alive = frozenset(range(g.n)) - {e[1]}
+            smaller = _hit_transversal(q, fam, alive, tau - 1, _scan_occurrence(q, fam, e[0], shared))
+        else:
+            neutral = fam.patterns == "all-cycles" and _fvs_neutral(g, e)
+            if neutral and settled:
+                continue
+            smaller = min_transversal(contract_set(g, [e]).quotient, fam, budget=tau - 1)
+            settled |= neutral
+        if smaller is not None:
             return e
     return None
 

@@ -214,9 +214,10 @@ def _modulator_splits(g: Graph, groups, budget: int, rest, left, start: dict[int
     no cover is built.  No size exceeds ``g.n``, a budget that refuses none.
 
     Each split's matching starts from the pairs of ``start``, a matching of
-    g, that lie inside ``remaining``.  A split whose forced part plus
-    starting matching already exceeds ``budget`` is refused unsized, and
-    the others stop augmenting as soon as they exceed it."""
+    g, that lie inside ``remaining``.  A split whose forced part alone, or
+    with its starting matching, already exceeds ``budget`` is refused
+    unsized (the first test before the matching is copied), and the others
+    stop augmenting as soon as they exceed it."""
     rest = rest.difference(*groups)
     member = {v: i for i, grp in enumerate(groups) for v in grp}
     forces: list[set[int]] = []  # each group's neighbours in rest
@@ -233,6 +234,8 @@ def _modulator_splits(g: Graph, groups, budget: int, rest, left, start: dict[int
             continue  # an edge between two groups left out cannot be covered
         forced = set().union(*(forces[i] for i in range(len(groups)) if not mask >> i & 1))
         fixed = mask.bit_count() + len(forced)
+        if fixed > budget:
+            continue
         match = dict(base)
         for v in forced:
             if v in match:

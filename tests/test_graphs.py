@@ -16,6 +16,7 @@ from contrablock.graphs import (
     complete_graph,
     connected_components,
     contract_edge,
+    contract_edge_keeping_ids,
     contract_set,
     contracted_coloring,
     cycle_graph,
@@ -190,6 +191,48 @@ class TestContraction:
         touched = {v for e in f for v in e}
         n_classes = len({res.vmap[v] for v in touched})
         assert res.quotient.n == g.n - len(touched) + n_classes
+
+
+class TestContractionKeepingIds:
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_relabelled_it_is_the_quotient(self, g, rnd):
+        if not g.edges:
+            return
+        u, v = rnd.choice(g.sorted_edges())
+        kept = contract_edge_keeping_ids(g, (v, u))
+        assert kept.n == g.n and not kept.adj[v]
+        assert all(v not in ns for ns in kept.adj)
+        new = [x - (x > v) for x in range(g.n)]
+        relabelled = {tuple(sorted((new[a], new[b]))) for a, b in kept.edges}
+        quotient = contract_edge(g, (u, v)).quotient
+        assert relabelled == quotient.edges
+        assert [new[x] for x in range(g.n) if x != v] == list(range(quotient.n))
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_sets_without_the_merged_vertex_induce_what_they_induce_in_g(self, g, rnd):
+        if not g.edges:
+            return
+        u, v = rnd.choice(g.sorted_edges())
+        kept = contract_edge_keeping_ids(g, (u, v))
+        others = [x for x in range(g.n) if x not in (u, v)]
+        for _ in range(5):
+            subset = rnd.sample(others, rnd.randint(0, len(others)))
+            assert induced_subgraph(kept, subset) == induced_subgraph(g, subset)
+
+    def test_examples(self):
+        # C4 with 1 merged into 0 is a triangle on 0, 2, 3
+        kept = contract_edge_keeping_ids(cycle_graph(4), (0, 1))
+        assert kept.n == 4 and kept.edges == {(0, 2), (0, 3), (2, 3)}
+        # the middle edge of P4: the merged vertex 1 keeps both outer ends
+        kept = contract_edge_keeping_ids(path_graph(4), (2, 1))
+        assert kept.edges == {(0, 1), (1, 3)} and kept.degree(2) == 0
+
+    @pytest.mark.parametrize("pair", [(0, 2), (0, 9), (-1, 0)])
+    def test_non_edge_rejected_like_contract_set(self, pair):
+        with pytest.raises(ValueError, match="not in graph"):
+            contract_edge_keeping_ids(path_graph(3), pair)
 
 
 class TestStructureQueries:

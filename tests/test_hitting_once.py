@@ -1,6 +1,7 @@
 """The transversal solvers ask each hitting question once: one component
-split, one blocker-edge loop, FVS branch children copied once, and no
-occurrence search repeated within a ``min_transversal`` call.
+split, one blocker-edge loop, FVS branch children copied once, no
+occurrence search repeated within a ``min_transversal`` call, and no
+single-edge scan re-solving what one contraction leaves unchanged.
 
 The ``_reference_*`` functions are the earlier code, kept verbatim as
 oracles: every answer, witness, exception and claim report must match them.
@@ -14,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from contrablock import transversal as tr
-from contrablock.graphs import complete_graph, contract_set, cycle_graph, path_graph
+from contrablock.graphs import Graph, checked_edges, complete_graph, contract_set, cycle_graph, path_graph
 from contrablock.reductions import (
     ClaimReport,
     GadgetInstance,
@@ -36,7 +37,7 @@ from contrablock.transversal import (
 )
 from contrablock.vertex_cover import vc_branching
 
-from .conftest import disjoint_union, random_graph
+from .conftest import disjoint_union, random_graph, star_graph
 
 PHI0 = clean_formula(2, [(1, 2), (1, -2), (-1, 2)])
 # _mg_copy calls of the earlier feedback_vertex_set on the PHI0 theorem-1 gadget
@@ -302,6 +303,16 @@ def _reference_find_dropping_edge(g, fam):
     for e in g.sorted_edges():
         quotient = contract_set(g, [e]).quotient
         if _reference_min_transversal(quotient, fam, budget=size - 1) is not None:
+            return e
+    return None
+
+
+def _reference_first_dropping_edge(g, fam, edges, tau):
+    # one quotient per edge, renumbered by contract_set, and one
+    # min_transversal call (so one occurrence cache) per quotient
+    for e in checked_edges(g, edges):
+        quotient = contract_set(g, [e]).quotient
+        if tr.min_transversal(quotient, fam, budget=tau - 1) is not None:
             return e
     return None
 
@@ -590,3 +601,140 @@ class TestOccurrenceSearchedOnce:
         assert min_transversal(g, fam) == want and want[0] >= 2
         assert len(searched) == len(set(searched))
         assert len(searched) < reference_calls
+
+
+# -- the single-edge scan ------------------------------------------------------
+
+
+def _sparse_corpus(seed: int, count: int):
+    """Seeded graphs with some edges subdivided and some leaves hung on, so
+    that many edges have an end of degree 1 or 2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = random_graph(rng, rng.randint(3, 6), rng.choice([0.4, 0.55, 0.7]))
+        n, edges = g.n, []
+        for u, v in g.sorted_edges():
+            if rng.random() < 0.3:
+                edges += [(u, n), (n, v)]
+                n += 1
+            else:
+                edges.append((u, v))
+        for _ in range(rng.randint(0, 2)):
+            edges.append((rng.randrange(n), n))
+            n += 1
+        yield Graph.from_edges(n, edges)
+
+
+def _keeps_fvs(g, e):
+    # an end of degree at most 2 and no common neighbour: contracting e
+    # deletes a leaf or undoes a subdivision, and loses no other edge
+    a, b = e
+    return min(g.degree(a), g.degree(b)) <= 2 and g.adj[a].isdisjoint(g.adj[b])
+
+
+SCAN_PATTERNS = {"C4": [cycle_graph(4)], "P3": [path_graph(3)], "K3+K13": [complete_graph(3), star_graph(3)]}
+
+
+class TestScanMatchesReference:
+    def _compare(self, g, fam, rng):
+        tau = min_transversal(g, fam)[0]
+        edges = g.sorted_edges()
+        for t in (tau - 1, tau, tau + 1):
+            order = rng.sample(edges, len(edges)) if rng.random() < 0.5 else edges
+            got = tr.first_dropping_edge(g, fam, order, t)
+            assert got == _reference_first_dropping_edge(g, fam, order, t), (g.edges, fam, t)
+            yield got
+
+    def test_feedback_vertex_set(self):
+        rng = random.Random(8501)
+        found = set()
+        for g in _sparse_corpus(8500, 250):
+            for got in self._compare(g, HitFamily.feedback_vertex_set(), rng):
+                found.add(got is None)
+        assert found == {True, False}
+
+    @pytest.mark.parametrize("relation", tr.RELATIONS)
+    @pytest.mark.parametrize("name", sorted(SCAN_PATTERNS))
+    def test_explicit_families(self, name, relation):
+        fam = HitFamily.explicit(SCAN_PATTERNS[name], relation)
+        rng = random.Random(8502)
+        found = set()
+        for i, g in enumerate(_sparse_corpus(8503 + tr.RELATIONS.index(relation), 45)):
+            if i % 3 == 0:
+                g = random_graph(rng, rng.randint(4, 8), 0.5)
+            for got in self._compare(g, fam, rng):
+                found.add(got is None)
+        assert found == {True, False}
+
+    def test_numbering_regression(self):
+        # a scan-wide cache keyed by vertex sets of contract_set's quotients,
+        # whose ids differ from quotient to quotient, or one that also kept
+        # sets with the merged vertex, answered (3, 5) here
+        g = random_graph(random.Random(14), 10, 0.4)
+        fam = HitFamily.explicit([path_graph(3)], "induced-subgraph")
+        tau = min_transversal(g, fam)[0]
+        assert tau == 4
+        assert _reference_first_dropping_edge(g, fam, g.sorted_edges(), tau) == (2, 5)
+        assert tr.first_dropping_edge(g, fam, g.sorted_edges(), tau) == (2, 5)
+
+
+class TestNeutralEdges:
+    def test_neutral_edges_keep_the_feedback_vertex_number(self):
+        neutral = 0
+        for g in _sparse_corpus(8510, 200):
+            size = feedback_vertex_set(g)[0]
+            for e in g.sorted_edges():
+                assert tr._fvs_neutral(g, e) == _keeps_fvs(g, e), (g.edges, e)
+                if tr._fvs_neutral(g, e):
+                    neutral += 1
+                    assert feedback_vertex_set(contract_set(g, [e]).quotient)[0] == size, (g.edges, e)
+        assert neutral >= 500
+
+    def test_a_degree_two_end_on_a_triangle_is_not_neutral(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert not tr._fvs_neutral(g, (0, 1)) and tr._fvs_neutral(g, (2, 3))
+        assert feedback_vertex_set(contract_set(g, [(0, 1)]).quotient)[0] == 0 < feedback_vertex_set(g)[0]
+
+
+class TestScanSolvesLess:
+    def test_theorem_one_scan_solves_one_neutral_edge(self, monkeypatch):
+        inst = GADGETS[1](_first_unsat_clean_formula())
+        g, fam = inst.graph, default_family(inst)
+        tau = feedback_vertex_set(g)[0]
+        solves = []
+        original_solve = tr.feedback_vertex_set
+        monkeypatch.setattr(tr, "feedback_vertex_set", lambda h, budget=None: solves.append(1) or original_solve(h, budget))
+        want = _reference_first_dropping_edge(g, fam, g.sorted_edges(), tau)
+        reference_solves = len(solves)
+        solves.clear()
+        contracted = []
+        original_contract = tr.contract_set
+        monkeypatch.setattr(tr, "contract_set", lambda h, f: contracted.append(f[0]) or original_contract(h, f))
+        assert tr.first_dropping_edge(g, fam, g.sorted_edges(), tau) == want is not None
+        assert len(solves) == len(contracted) < reference_solves
+        assert sum(_keeps_fvs(g, e) for e in contracted) <= 1
+        assert sum(_keeps_fvs(g, e) for e in g.sorted_edges() if e < want) >= 100
+
+    def test_theorem_three_scan_searches_each_set_without_the_merged_vertex_once(self, monkeypatch):
+        inst = GADGETS[3](PHI0)
+        g, fam = inst.graph, default_family(inst)
+        tau = min_transversal(g, fam)[0]
+        merged = [None]
+        searched = []
+        original_quotient = tr.contract_edge_keeping_ids
+        monkeypatch.setattr(tr, "contract_edge_keeping_ids", lambda h, e: merged.append(e[0]) or original_quotient(h, e))
+        original_search = tr._family_occurrence
+
+        def record(host, family, allowed):
+            searched.append((merged[-1], allowed))
+            return original_search(host, family, allowed)
+
+        monkeypatch.setattr(tr, "_family_occurrence", record)
+        want = _reference_first_dropping_edge(g, fam, g.sorted_edges(), tau)
+        per_quotient = len(searched)
+        searched.clear()
+        assert tr.first_dropping_edge(g, fam, g.sorted_edges(), tau) == want
+        assert len(merged) == g.m + 1
+        outside = [allowed for u, allowed in searched if u not in allowed]
+        assert len(outside) == len(set(outside)) > 0
+        assert len(searched) < per_quotient
