@@ -216,8 +216,7 @@ def _modulator_splits(g: Graph, groups, budget: int, rest, left, start: dict[int
     Each split's matching starts from the pairs of ``start``, a matching of
     g, that lie inside ``remaining``.  A split whose forced part alone, or
     with its starting matching, already exceeds ``budget`` is refused
-    unsized (the first test before the matching is copied), and the others
-    stop augmenting as soon as they exceed it."""
+    unsized, and the others stop augmenting as soon as they exceed it."""
     rest = rest.difference(*groups)
     member = {v: i for i, grp in enumerate(groups) for v in grp}
     forces: list[set[int]] = []  # each group's neighbours in rest
