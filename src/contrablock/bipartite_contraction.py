@@ -8,7 +8,8 @@ bc_decide searches for, returning the edge set itself.
 
 from __future__ import annotations
 
-from .graphs import Edge, Graph, bfs, components, contract_set, contracted_coloring, shallowest, shortest_odd_cycle
+from .graphs import (Edge, Graph, _class_map, bfs, components, contract_keeping_ids, contracted_coloring, shallowest,
+                     shortest_odd_cycle)
 
 Coloring = tuple[int, ...]
 
@@ -79,12 +80,12 @@ def bc_decide(g: Graph, k: int) -> list[Edge] | None:
     candidates = {frozenset()}  # the root and the children that may be bipartite
 
     def children(chosen):
-        res = contract_set(g, chosen)
-        cycle = shortest_odd_cycle(res.quotient)  # odd: its level failed the goal
+        cls = _class_map(g, chosen)
+        cycle = shortest_odd_cycle(contract_keeping_ids(g, cls))  # odd: its level failed the goal
         on_cycle = set(cycle)
         steps = set(zip(cycle, cycle[1:] + cycle[:1]))
         for e in edges:
-            a, b = res.vmap[e[0]], res.vmap[e[1]]
+            a, b = cls[e[0]], cls[e[1]]
             if a != b and (a in on_cycle or b in on_cycle):  # a == b: inside one class, no change
                 child = chosen | {e}
                 if (a, b) in steps or (b, a) in steps:

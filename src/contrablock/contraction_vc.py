@@ -17,9 +17,10 @@ from .bipartite_contraction import bc_decide
 from .graphs import (
     Edge,
     Graph,
+    _class_map,
     bfs,
     connected_components,
-    contract_classes,
+    contract_keeping_ids,
     contract_set,
     forest_sets,
     induced_subgraph,
@@ -112,7 +113,7 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
 
     initial = before.size
     all_edges = g.sorted_edges()
-    q, vmap, alive = g, range(g.n), comp
+    q, cls, alive = g, range(g.n), comp
     chosen: list[Edge] = []
     while initial - before.size < d:  # a two-edge round may overshoot by one
         cover = before.cover
@@ -130,10 +131,10 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
                 "a connected graph with cover >= 2 has two cover vertices within distance two"
             )
         for a, b in picks:  # the first original edge onto each picked quotient edge
-            chosen.append(next(e for e in all_edges if {vmap[e[0]], vmap[e[1]]} == {a, b}))
-        res = contract_set(g, chosen)
-        q, vmap = res.quotient, res.vmap
-        alive = {vmap[v] for v in comp}
+            chosen.append(next(e for e in all_edges if {cls[e[0]], cls[e[1]]} == {a, b}))
+        cls = _class_map(g, chosen)
+        q = contract_keeping_ids(g, cls)
+        alive = {cls[v] for v in comp}
         after = vc_branching(q, allowed=alive)
         if after.size > before.size - 1:
             raise RuntimeError("a round must lose a cover vertex")
@@ -194,7 +195,7 @@ def _component_opt(c: Graph, d_prime: int, paper_convention: bool, vc_c: int | N
     target = vc_c - d_prime
     sizes = range(d_prime, min(2 * d_prime, c.m) + 1)  # each contraction drops the cover by <= 1
     f = _first_drop(c, sizes, target,
-                    lambda _, cls: vc_branching(contract_classes(c, cls).quotient, budget=target) is not None)
+                    lambda _, cls: vc_branching(contract_keeping_ids(c, cls), budget=target) is not None)
     if f is not None:
         return len(f), f
     raise RuntimeError("a drop of d' needs at most 2d' contractions when vc > d'")

@@ -168,32 +168,32 @@ def _class_map(g: Graph, contracted) -> list[int]:
 
 def contract_set(g: Graph, contracted) -> ContractionResult:
     """Contract a set of edges; merged classes are renumbered by their minimum
-    original vertex, so the result is independent of input order."""
-    return contract_classes(g, _class_map(g, contracted))
+    original vertex, so the result is independent of input order.  It is
+    ``contract_keeping_ids`` restricted to the class minima."""
+    cls = _class_map(g, contracted)
+    quotient, minima = induced_subgraph(contract_keeping_ids(g, cls), [v for v, r in enumerate(cls) if r == v])
+    rank = {r: i for i, r in enumerate(minima)}
+    return ContractionResult(quotient, tuple(rank[r] for r in cls))
 
 
-def contract_classes(g: Graph, cls) -> ContractionResult:
-    """The quotient of g by the class map ``cls``, numbered as in
-    ``contract_set``.  It trusts ``cls``: ``cls[v]`` is the smallest vertex
-    of v's class, as ``_class_map`` and ``forest_sets`` build it."""
-    vmap: list[int] = []
-    roots = 0
-    for v, r in enumerate(cls):
-        if r == v:  # a class's minimum comes before the rest of the class
-            vmap.append(roots)
-            roots += 1
-        else:
-            vmap.append(vmap[r])
+def contract_keeping_ids(g: Graph, cls) -> Graph:
+    """The quotient of g by the class map ``cls`` on g's own numbering: each
+    class is its smallest vertex, which holds the class's neighbours, and
+    the class's other vertices stay in the graph as isolated vertices.  A
+    vertex set of class minima induces the subgraph that ``contract_set``
+    builds on their ranks, and a set of vertices outside every merged class
+    induces the same subgraph as in g.  It trusts ``cls``: ``cls[v]`` is
+    the smallest vertex of v's class, as ``_class_map`` and ``forest_sets``
+    build it."""
     # A quotient of a simple graph is simple, so it is built unvalidated; the
     # loop reads g's cached edge set, which holds each edge once, not twice.
-    nbrs: list[set[int]] = [set() for _ in range(roots)]
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
     for u, v in g.edges:
-        a, b = vmap[u], vmap[v]
+        a, b = cls[u], cls[v]
         if a != b:
             nbrs[a].add(b)
             nbrs[b].add(a)
-    quotient = Graph(roots, tuple(map(frozenset, nbrs)))
-    return ContractionResult(quotient, tuple(vmap))
+    return Graph(g.n, tuple(map(frozenset, nbrs)))
 
 
 def contracted_coloring(g: Graph, contracted) -> tuple[int, ...] | None:
@@ -226,23 +226,6 @@ def contracted_coloring(g: Graph, contracted) -> tuple[int, ...] | None:
 
 def contract_edge(g: Graph, e: Edge) -> ContractionResult:
     return contract_set(g, [e])
-
-
-def contract_edge_keeping_ids(g: Graph, e) -> Graph:
-    """``contract_edge(g, e).quotient`` on g's own numbering: the merged
-    vertex keeps the smaller end's id u, and the larger end v stays in the
-    graph as an isolated vertex.  Relabelling x -> x - (x > v) on every
-    vertex but v gives the quotient, in the same vertex order, and a vertex
-    set without u or v induces the same subgraph as in g.  ValueError when
-    e is not an edge of g."""
-    u, v = checked_edges(g, [e])[0]
-    adj = list(g.adj)
-    adj[u] = (g.adj[u] | g.adj[v]) - {u, v}
-    adj[v] = frozenset()
-    for w in g.adj[v]:
-        if w != u:
-            adj[w] = adj[w] - {v} | {u}
-    return Graph(g.n, tuple(adj))
 
 
 def bfs(adj, roots, allowed=None) -> dict[int, int]:

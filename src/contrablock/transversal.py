@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from .graphs import (
     Edge,
     Graph,
+    _class_map,
     bfs,
     bipartition,
     checked_edges,
     checked_vertices,
     components,
-    contract_edge_keeping_ids,
-    contract_set,
+    contract_keeping_ids,
     depth_first,
     is_connected,
     shallowest,
@@ -305,7 +305,7 @@ def _warn_if_not_antichain(fam: HitFamily) -> None:
                 warnings.warn(
                     f"pattern {j} is contained in pattern {i} under {fam.relation}; "
                     "the family is not an antichain",
-                    stacklevel=4,
+                    stacklevel=3,
                 )
                 return
 
@@ -376,15 +376,15 @@ def min_transversal(g: Graph, fam: HitFamily, budget: int | None = None):
         if fam.patterns == "all-cycles":
             return feedback_vertex_set(g, budget)
         return odd_cycle_transversal(g, budget)
-    occurrence = functools.cache(lambda alive: _occurrence_vertices(g, fam, alive))
-    return _hit_transversal(g, fam, frozenset(range(g.n)), budget, occurrence)
-
-
-def _hit_transversal(g: Graph, fam: HitFamily, alive: frozenset[int], budget: int | None, occurrence):
-    """``min_transversal`` of the explicit family ``fam`` on the subgraph of
-    g that ``alive`` induces, where ``occurrence(vertex set)`` gives the
-    vertices of the set's first occurrence, or None."""
     _warn_if_not_antichain(fam)
+    occurrence = functools.cache(lambda alive: _occurrence_vertices(g, fam, alive))
+    return _hit_transversal(g, frozenset(range(g.n)), budget, occurrence)
+
+
+def _hit_transversal(g: Graph, alive: frozenset[int], budget: int | None, occurrence):
+    """``min_transversal`` of an explicit family on the subgraph of g that
+    ``alive`` induces, where ``occurrence(vertex set)`` gives the vertices
+    of the set's first occurrence, or None."""
     cap = len(alive) if budget is None else min(budget, len(alive))
     picks = _hit_solve(g, occurrence, alive, cap, {})
     if picks is None:
@@ -396,11 +396,11 @@ def _hit_transversal(g: Graph, fam: HitFamily, alive: frozenset[int], budget: in
 
 def _scan_occurrence(q: Graph, fam: HitFamily, u: int, shared: dict):
     """``occurrence`` for ``_hit_transversal`` on ``q``, a single-edge
-    quotient built by ``contract_edge_keeping_ids`` whose merged vertex is
-    u.  A vertex set without u induces the same subgraph in q as in g, so
-    its first occurrence is the same in every quotient of the scan: it is
-    kept in ``shared`` under the set's bitmask, an int, which holds far
-    less memory than the set.  A set with u is searched once per quotient."""
+    quotient built by ``contract_keeping_ids`` whose merged vertex is u.
+    A vertex set without u induces the same subgraph in q as in g, so its
+    first occurrence is the same in every quotient of the scan: it is kept
+    in ``shared`` under the set's bitmask, an int, which holds far less
+    memory than the set.  A set with u is searched once per quotient."""
     own = functools.cache(lambda alive: _occurrence_vertices(q, fam, alive))
     bits = [1 << x for x in range(q.n)]
 
@@ -657,27 +657,27 @@ def first_dropping_edge(g: Graph, fam: HitFamily, edges, tau: int) -> Edge | Non
       neutral edge has the answer of the first one, which is solved as any
       other edge, whatever ``tau`` is; once it has not dropped, later
       neutral edges are skipped.
-    - Explicit patterns: each quotient is built on g's numbering by
-      ``contract_edge_keeping_ids``, with the merged vertex u and the other
-      end outside the alive set.  That numbering keeps ``contract_set``'s
-      vertex order, so every search visits candidates as it would there.  A
-      vertex set without u induces the same subgraph in g and in every such
-      quotient, so one cache for the whole scan holds the first occurrence
-      of each such set; sets with u keep a cache per quotient.
+    - Explicit patterns: the larger end, isolated in the quotient, is left
+      out of the alive set.  A vertex set without the merged vertex then
+      induces the same subgraph in g and in every quotient, so one cache
+      for the whole scan holds the first occurrence of each such set; sets
+      with the merged vertex keep a cache per quotient.
     """
+    if not fam.symbolic:
+        _warn_if_not_antichain(fam)
+    alive = frozenset(range(g.n))
     shared: dict[int, tuple[int, ...] | None] = {}
     settled = False  # a neutral edge was solved and did not drop
     for e in checked_edges(g, edges):
-        if not fam.symbolic:
-            q = contract_edge_keeping_ids(g, e)
-            alive = frozenset(range(g.n)) - {e[1]}
-            smaller = _hit_transversal(q, fam, alive, tau - 1, _scan_occurrence(q, fam, e[0], shared))
+        neutral = fam.patterns == "all-cycles" and _fvs_neutral(g, e)
+        if neutral and settled:
+            continue
+        q = contract_keeping_ids(g, _class_map(g, [e]))
+        if fam.symbolic:
+            smaller = min_transversal(q, fam, budget=tau - 1)
         else:
-            neutral = fam.patterns == "all-cycles" and _fvs_neutral(g, e)
-            if neutral and settled:
-                continue
-            smaller = min_transversal(contract_set(g, [e]).quotient, fam, budget=tau - 1)
-            settled |= neutral
+            smaller = _hit_transversal(q, alive - {e[1]}, tau - 1, _scan_occurrence(q, fam, e[0], shared))
+        settled |= neutral
         if smaller is not None:
             return e
     return None

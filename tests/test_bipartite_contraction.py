@@ -183,23 +183,24 @@ class TestBcDecide:
         (complete_graph(5), 2, None, 10, 55, 23),
     ], ids=["K4+C5", "K5"])
     def test_quotients_only_for_expanded_states(self, g, k, witness, expanded, tested, colored, monkeypatch):
-        # one contract_set per state the search expands, one goal test per
+        # one quotient per state the search expands, one goal test per
         # state it tests (the root and each new child), and one colouring per
         # tested state that may be bipartite; the pinned counts let a later
         # change show fewer nodes, not only fewer seconds
-        calls = {"contract_set": 0, "coloring": 0, "expand": 0, "goal": 0}
+        calls = {"quotient": 0, "coloring": 0, "expand": 0, "goal": 0}
 
         def counted(key, fn):
             return lambda *args: calls.update({key: calls[key] + 1}) or fn(*args)
 
         real = bipartite_contraction.shallowest
-        monkeypatch.setattr(bipartite_contraction, "contract_set", counted("contract_set", contract_set))
+        monkeypatch.setattr(bipartite_contraction, "contract_keeping_ids",
+                            counted("quotient", bipartite_contraction.contract_keeping_ids))
         monkeypatch.setattr(bipartite_contraction, "contracted_coloring",
                             counted("coloring", bipartite_contraction.contracted_coloring))
         monkeypatch.setattr(bipartite_contraction, "shallowest", lambda root, goal, children, hi: real(
             root, counted("goal", goal), counted("expand", children), hi))
         assert bc_decide(g, k) == witness
-        assert calls == {"contract_set": expanded, "coloring": colored, "expand": expanded, "goal": tested}
+        assert calls == {"quotient": expanded, "coloring": colored, "expand": expanded, "goal": tested}
 
     def test_children_off_the_cycle_stay_odd(self):
         # the goal skips a child whose edge's quotient ends are not

@@ -31,10 +31,11 @@ from contrablock.graphs import (
     Graph,
     bfs,
     bipartition,
-    contract_classes,
+    contract_keeping_ids,
     contract_set,
     cycle_graph,
     forest_sets,
+    induced_subgraph,
     is_connected,
 )
 from contrablock.vertex_cover import _modulator_setup, maximum_matching, vc_branching, vc_with_modulator
@@ -209,7 +210,9 @@ class TestForestWalk:
                         want.append((f, tuple(low[res.vmap[v]] for v in range(g.n))))
                 assert list(forest_sets(g, size)) == want, (g, size)
                 for f, cls in want:
-                    assert contract_classes(g, cls) == contract_set(g, f), (g, f)
+                    minima = [v for v in range(g.n) if cls[v] == v]
+                    kept = induced_subgraph(contract_keeping_ids(g, cls), minima)[0]
+                    assert kept == contract_set(g, f).quotient, (g, f)
 
     def test_enumerate_matches_the_reference(self):
         rng = random.Random(7006)
@@ -265,9 +268,8 @@ class TestClassDecision:
         decisions = [_class_decision(g, anchors, budget, *setup) for budget in budgets]
         for size in range(2 * d):
             for f, cls in forest_sets(g, size):
-                res = contract_classes(g, cls)
-                modulator = {res.vmap[v] for v in anchors} | {res.vmap[u] for u, _ in f}
-                opt = vc_with_modulator(res.quotient, modulator).size
+                modulator = {cls[v] for v in anchors} | {cls[u] for u, _ in f}
+                opt = vc_with_modulator(contract_keeping_ids(g, cls), modulator).size
                 for budget, fits in zip(budgets, decisions):
                     assert fits(f, cls) == (opt <= budget), (g, f, budget)
 
@@ -317,7 +319,7 @@ class TestEnumerationCalls:
         from it.  Each counter wraps the module attribute its caller
         resolves."""
         calls = {"full": 0, "bipartite": 0, "setup": 0, "splits": 0, "fits": 0, "sets": 0,
-                 "cut": 0, "contract_set": 0, "contract_classes": 0, "bipartition": 0,
+                 "cut": 0, "contract_set": 0, "contract_keeping_ids": 0, "bipartition": 0,
                  "maximum_matching": 0, "augment": 0}
         decision = contraction_vc._class_decision
         sets, exceeds = contraction_vc.forest_sets, contraction_vc._matching_exceeds
@@ -345,7 +347,7 @@ class TestEnumerationCalls:
             (vertex_cover, "vc_with_modulator", "full"), (vertex_cover, "vc_bipartite", "bipartite"),
             (contraction_vc, "_modulator_setup", "setup"), (contraction_vc, "_modulator_splits", "splits"),
             (contraction_vc, "contract_set", "contract_set"),
-            (contraction_vc, "contract_classes", "contract_classes"),
+            (contraction_vc, "contract_keeping_ids", "contract_keeping_ids"),
             (vertex_cover, "bipartition", "bipartition"),
             (vertex_cover, "maximum_matching", "maximum_matching"), (vertex_cover, "_augment", "augment"),
         ]:
@@ -357,6 +359,6 @@ class TestEnumerationCalls:
         assert calls["sets"] == 5388 and calls["fits"] == 960, calls
         assert calls["sets"] - calls["fits"] == calls["cut"], calls
         assert calls["setup"] == 1 and calls["splits"] == 1 + calls["fits"], calls
-        assert calls["contract_set"] == 0 and calls["contract_classes"] == 0, calls
+        assert calls["contract_set"] == 0 and calls["contract_keeping_ids"] == 0, calls
         assert calls["bipartition"] == 1 and calls["maximum_matching"] == 1, calls
         assert calls["augment"] - calls["maximum_matching"] == 368, calls

@@ -15,8 +15,9 @@ from contrablock.graphs import (
     checked_vertices,
     complete_graph,
     connected_components,
+    _class_map,
     contract_edge,
-    contract_edge_keeping_ids,
+    contract_keeping_ids,
     contract_set,
     contracted_coloring,
     cycle_graph,
@@ -200,7 +201,7 @@ class TestContractionKeepingIds:
         if not g.edges:
             return
         u, v = rnd.choice(g.sorted_edges())
-        kept = contract_edge_keeping_ids(g, (v, u))
+        kept = contract_keeping_ids(g, _class_map(g, [(v, u)]))
         assert kept.n == g.n and not kept.adj[v]
         assert all(v not in ns for ns in kept.adj)
         new = [x - (x > v) for x in range(g.n)]
@@ -215,7 +216,7 @@ class TestContractionKeepingIds:
         if not g.edges:
             return
         u, v = rnd.choice(g.sorted_edges())
-        kept = contract_edge_keeping_ids(g, (u, v))
+        kept = contract_keeping_ids(g, _class_map(g, [(u, v)]))
         others = [x for x in range(g.n) if x not in (u, v)]
         for _ in range(5):
             subset = rnd.sample(others, rnd.randint(0, len(others)))
@@ -223,16 +224,45 @@ class TestContractionKeepingIds:
 
     def test_examples(self):
         # C4 with 1 merged into 0 is a triangle on 0, 2, 3
-        kept = contract_edge_keeping_ids(cycle_graph(4), (0, 1))
+        kept = contract_keeping_ids(cycle_graph(4), _class_map(cycle_graph(4), [(0, 1)]))
         assert kept.n == 4 and kept.edges == {(0, 2), (0, 3), (2, 3)}
         # the middle edge of P4: the merged vertex 1 keeps both outer ends
-        kept = contract_edge_keeping_ids(path_graph(4), (2, 1))
+        kept = contract_keeping_ids(path_graph(4), _class_map(path_graph(4), [(2, 1)]))
         assert kept.edges == {(0, 1), (1, 3)} and kept.degree(2) == 0
 
     @pytest.mark.parametrize("pair", [(0, 2), (0, 9), (-1, 0)])
     def test_non_edge_rejected_like_contract_set(self, pair):
+        # the class map checks the edges before any quotient is built
         with pytest.raises(ValueError, match="not in graph"):
-            contract_edge_keeping_ids(path_graph(3), pair)
+            contract_keeping_ids(path_graph(3), _class_map(path_graph(3), [pair]))
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_restricted_to_the_class_minima_it_is_contract_set(self, g, rnd):
+        f = rnd.sample(g.sorted_edges(), rnd.randint(0, g.m))
+        cls = _class_map(g, f)
+        kept = contract_keeping_ids(g, cls)
+        minima = [v for v in range(g.n) if cls[v] == v]
+        res = contract_set(g, f)
+        assert induced_subgraph(kept, minima) == (res.quotient, minima)
+        assert res.vmap == tuple(minima.index(r) for r in cls)
+        assert all(not kept.adj[v] for v in range(g.n) if cls[v] != v)
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_contraction_commutes_with_relabelling(self, g, rnd):
+        # contracting F in g and its image in g relabelled by a permutation
+        # give quotients that the classes' correspondence maps onto each other
+        f = rnd.sample(g.sorted_edges(), rnd.randint(0, g.m))
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        res = contract_set(g, f)
+        image = contract_set(h, [(perm[u], perm[v]) for u, v in f])
+        pairs = {(res.vmap[v], image.vmap[perm[v]]) for v in range(g.n)}
+        onto = dict(pairs)  # one image per class, and distinct classes have distinct images
+        assert len(pairs) == len(onto) == len(set(onto.values())) == res.quotient.n == image.quotient.n
+        assert {tuple(sorted((onto[a], onto[b]))) for a, b in res.quotient.edges} == image.quotient.edges
 
 
 class TestStructureQueries:

@@ -696,6 +696,12 @@ class TestNeutralEdges:
         assert feedback_vertex_set(contract_set(g, [(0, 1)]).quotient)[0] == 0 < feedback_vertex_set(g)[0]
 
 
+def _merged_edge(cls):
+    """The edge (u, v), u < v, whose contraction has the class map ``cls``."""
+    (v, u), = ((v, u) for v, u in enumerate(cls) if u != v)
+    return u, v
+
+
 class TestScanSolvesLess:
     def test_theorem_one_scan_solves_one_neutral_edge(self, monkeypatch):
         inst = GADGETS[1](_first_unsat_clean_formula())
@@ -708,8 +714,9 @@ class TestScanSolvesLess:
         reference_solves = len(solves)
         solves.clear()
         contracted = []
-        original_contract = tr.contract_set
-        monkeypatch.setattr(tr, "contract_set", lambda h, f: contracted.append(f[0]) or original_contract(h, f))
+        original_quotient = tr.contract_keeping_ids
+        monkeypatch.setattr(tr, "contract_keeping_ids",
+                            lambda h, cls: contracted.append(_merged_edge(cls)) or original_quotient(h, cls))
         assert tr.first_dropping_edge(g, fam, g.sorted_edges(), tau) == want is not None
         assert len(solves) == len(contracted) < reference_solves
         assert sum(_keeps_fvs(g, e) for e in contracted) <= 1
@@ -721,8 +728,9 @@ class TestScanSolvesLess:
         tau = min_transversal(g, fam)[0]
         merged = [None]
         searched = []
-        original_quotient = tr.contract_edge_keeping_ids
-        monkeypatch.setattr(tr, "contract_edge_keeping_ids", lambda h, e: merged.append(e[0]) or original_quotient(h, e))
+        original_quotient = tr.contract_keeping_ids
+        monkeypatch.setattr(tr, "contract_keeping_ids",
+                            lambda h, cls: merged.append(_merged_edge(cls)[0]) or original_quotient(h, cls))
         original_search = tr._family_occurrence
 
         def record(host, family, allowed):

@@ -44,6 +44,23 @@ def test_graph_constructor_only_in_graphs():
     assert not found, "Graph(...) called outside graphs.py: " + ", ".join(found)
 
 
+def test_vmap_read_only_in_graphs():
+    # every quotient the library builds for itself keeps g's vertex ids
+    # (``contract_keeping_ids``) and is read through its class map; only the
+    # public ``contract_set`` renumbers, so no other module reads ``vmap``
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.relative_to(SRC.parent)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "vmap"
+        ]
+    assert not found, ".vmap read outside graphs.py: " + ", ".join(found)
+
+
 def _bench_names(*targets: str) -> list[str]:
     """The string tuples that ``bench/run.py`` assigns to ``targets``, read
     without importing the benchmark."""

@@ -335,7 +335,7 @@ class TestAfterContraction:
             raise AssertionError("quotient built")
 
         for module in (graphs, vertex_cover):
-            for name in ("contract_edge", "contract_set", "contract_classes"):
+            for name in ("contract_edge", "contract_set", "contract_keeping_ids"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         assert vc_after_contraction(cycle_graph(6), (2, 3)) == 3
         assert vc_after_contraction(path_graph(4), (1, 2)) == 1
