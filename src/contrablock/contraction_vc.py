@@ -26,7 +26,7 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
-from .vertex_cover import _modulator_setup, _modulator_splits, vc_branching
+from .vertex_cover import _augment, _modulator_setup, _modulator_splits, vc_branching
 
 TRACES = (
     "trivial-no",
@@ -142,18 +142,43 @@ def two_approx_drop(g: Graph, component, d: int) -> list[Edge]:
     return chosen
 
 
-def _matching_exceeds(edges, cls, budget: int) -> bool:
-    """Whether a greedy maximal matching of the quotient that ``cls`` maps
-    ``edges`` onto has more than ``budget`` edges.  Each matching edge needs
-    its own cover vertex, so then no cover of the quotient fits the budget."""
-    matched: set[int] = set()
+def _lp_exceeds(edges, cls, budget: int) -> bool:
+    """Whether the vertex-cover LP optimum of the quotient that ``cls`` maps
+    ``edges`` onto exceeds ``budget``; the cover number is at least that
+    optimum, so then no cover of the quotient fits the budget.
+
+    Two cheap answers come first.  At most 2 * budget classes fit, each at
+    value 1/2.  A greedy maximal matching with more than ``budget`` edges
+    does not, since each of its edges needs its own cover vertex, and one
+    whose ends number at most ``budget`` fits, since its ends cover the
+    quotient.  Otherwise the LP optimum is half a maximum matching of the
+    quotient's bipartite double cover (Nemhauser and Trotter), on which a
+    vertex a of the n = len(cls) is a on the left and n + a on the right:
+    the doubled greedy matching is grown there by ``_augment``, which stops
+    once it has more than 2 * budget pairs."""
+    n = len(cls)
+    if len(set(cls)) <= 2 * budget:
+        return False
+    partner: dict[int, int] = {}
     for u, v in edges:
         a, b = cls[u], cls[v]
-        if a != b and a not in matched and b not in matched:
-            matched.update((a, b))
-            if len(matched) > 2 * budget:
+        if a != b and a not in partner and b not in partner:
+            partner[a], partner[b] = b, a
+            if len(partner) > 2 * budget:
                 return True
-    return False
+    if len(partner) <= budget:
+        return False
+    double: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        a, b = cls[u], cls[v]
+        if a != b:
+            double[a].add(n + b)
+            double[b].add(n + a)
+    match = {}
+    for a, b in partner.items():
+        match[a], match[n + b] = n + b, a
+    _augment(double, range(n), frozenset(range(2 * n)), match, 2 * budget)
+    return len(match) > 4 * budget
 
 
 def _first_drop(g: Graph, sizes, target: int, fits) -> tuple[Edge, ...] | None:
@@ -163,12 +188,18 @@ def _first_drop(g: Graph, sizes, target: int, fits) -> tuple[Edge, ...] | None:
 
     Only acyclic sets are walked (``forest_sets``): a set with an edge that
     closes a cycle has the quotient of a smaller set, which either was tried
-    already or is too small.  A set whose quotient has a matching larger
-    than ``target`` is refused before ``fits`` is asked."""
+    already or is too small.  The walk is cut by the LP bound
+    (``_lp_exceeds``), so ``fits`` is never asked of a set whose quotient's
+    LP optimum exceeds ``target``.  One contraction lowers that optimum by
+    at most one (a fractional cover of the quotient lifts back, both ends
+    taking the merged vertex's value), so a prefix that still has r edges
+    to add is cut with all its extensions when its optimum exceeds
+    ``target + r``.  No set that fits is cut, so the first one is the
+    first of the uncut walk."""
     edges = g.sorted_edges()
     for size in sizes:
-        for f, cls in forest_sets(g, size):
-            if not _matching_exceeds(edges, cls, target) and fits(f, cls):
+        for f, cls in forest_sets(g, size, lambda cls, r: _lp_exceeds(edges, cls, target + r)):
+            if fits(f, cls):
                 return f
     return None
 

@@ -266,7 +266,7 @@ def depth_first(root, children):
             stack.pop()
 
 
-def forest_sets(g: Graph, size: int):
+def forest_sets(g: Graph, size: int, cut=None):
     """Every acyclic set of ``size`` edges of ``g`` in
     ``itertools.combinations(g.sorted_edges(), size)`` order, as
     ``(edges, cls)`` with ``cls[v]`` the smallest vertex of v's class in the
@@ -275,18 +275,25 @@ def forest_sets(g: Graph, size: int):
     The sets are the full-size nodes of a prefix tree walked by
     ``depth_first``.  A child adds a later edge whose ends lie in different
     classes, so a prefix that closes a cycle is cut with all its
-    extensions, and a child is made only while enough edges remain."""
+    extensions, and a child is made only while enough edges remain.
+    ``cut(cls, r)``, when given, is asked of each child, with its class map
+    and the r edges it still has to add; a child it answers True for is cut
+    with all its extensions, so only the sets it never cut come, in the same
+    order."""
     edges = g.sorted_edges()
 
     def children(node):
         start, chosen, cls = node
-        if len(chosen) == size:
+        r = size - len(chosen) - 1  # the edges a child still has to add
+        if r < 0:
             return
-        for i in range(start, len(edges) - size + len(chosen) + 1):
+        for i in range(start, len(edges) - r):
             a, b = cls[edges[i][0]], cls[edges[i][1]]
             if a != b:
                 lo, hi = (a, b) if a < b else (b, a)
-                yield i + 1, chosen + (edges[i],), tuple(lo if c == hi else c for c in cls)
+                child = tuple(lo if c == hi else c for c in cls)
+                if cut is None or not cut(child, r):
+                    yield i + 1, chosen + (edges[i],), child
 
     for _, chosen, cls in depth_first((0, (), tuple(range(g.n))), children):
         if len(chosen) == size:

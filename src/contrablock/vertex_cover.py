@@ -98,23 +98,26 @@ def vc_branching(g: Graph, budget: int | None = None, allowed=None) -> CoverResu
     return None if sol is None else CoverResult(len(sol), sol)
 
 
-def _augment(g: Graph, left, alive, match: dict[int, int], limit: int) -> dict[int, int]:
+def _augment(adj, left, alive, match: dict[int, int], limit: int) -> dict[int, int]:
     """Grow the bipartite matching ``match`` in place by one augmenting-path
     search inside the vertex set ``alive`` from each free vertex of ``left``
-    that lies in it, in sorted order; returns ``match``.  A free vertex with
+    that lies in it, in sorted order; returns ``match``.  ``adj`` maps a
+    vertex to its neighbours, as ``Graph.adj`` does.  A free vertex with
     no augmenting path has none after later augmentations either (Kuhn), so
     one pass reaches a maximum matching from any starting matching.  It
     stops as soon as the matching has more than ``limit`` pairs.
 
     Each search is a depth-first search on an explicit stack, so long paths
     cannot exhaust the interpreter's recursion limit.  A vertex's neighbours
-    are sorted when a search first reaches it."""
+    are sorted when a search first reaches it, and only vertices of
+    ``left`` are ever reached that way, so ``adj`` may leave out the other
+    side."""
     pairs = len(match) // 2
     nbrs: dict[int, list[int]] = {}
 
     def reach(u):
         if u not in nbrs:
-            nbrs[u] = sorted(g.adj[u] & alive)
+            nbrs[u] = sorted(adj[u] & alive)
         return iter(nbrs[u])
 
     for root in sorted(left):
@@ -152,11 +155,9 @@ def maximum_matching(g: Graph, left: list[int], allowed=None) -> dict[int, int]:
     """Maximum matching of a bipartite graph via augmenting paths; returns a
     symmetric vertex->partner map.  ``left`` must be one side; ``allowed``
     restricts the graph to an induced vertex subset, and vertices of
-    ``left`` outside it are skipped.  ``allowed`` must hold vertices of
-    ``g`` and is not checked: the callers pass a set that ``bipartition``
-    checked, and a range check here cost the bounded enumeration about
-    4 %.  It is ``_augment`` run from an empty matching."""
-    return _augment(g, left, set(range(g.n) if allowed is None else allowed), {}, g.n)
+    ``left`` outside it are skipped; ValueError when ``allowed`` holds a
+    vertex outside g.  It is ``_augment`` run from an empty matching."""
+    return _augment(g.adj, left, checked_vertices(g, allowed), {}, g.n)
 
 
 def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
@@ -242,7 +243,7 @@ def _modulator_splits(g: Graph, groups, budget: int, rest, left, start: dict[int
         if fixed + len(match) // 2 > budget:
             continue
         remaining = rest - forced
-        _augment(g, left, remaining, match, budget - fixed)
+        _augment(g.adj, left, remaining, match, budget - fixed)
         size = fixed + len(match) // 2
         if size <= budget:
             inside = set().union(*(groups[i] for i in range(len(groups)) if mask >> i & 1))

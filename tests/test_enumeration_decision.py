@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,10 +25,11 @@ from hypothesis import strategies as st
 
 from contrablock import contraction_vc, vertex_cover
 from contrablock.bipartite_contraction import bc_decide
-from contrablock.contraction_vc import _class_decision, _component_opt, _enumerate, algorithm1
+from contrablock.contraction_vc import _class_decision, _component_opt, _enumerate, _lp_exceeds, algorithm1
 from contrablock.graphs import (
     ContractionResult,
     Graph,
+    _class_map,
     bfs,
     bipartition,
     contract_keeping_ids,
@@ -214,6 +215,24 @@ class TestForestWalk:
                     kept = induced_subgraph(contract_keeping_ids(g, cls), minima)[0]
                     assert kept == contract_set(g, f).quotient, (g, f)
 
+    def test_a_cut_drops_the_sets_below_a_cut_prefix(self):
+        """With a cut predicate the walk yields, in the same order, exactly
+        the acyclic sets none of whose prefixes the predicate cuts, asked
+        with the prefix's class map and the edges still to add."""
+        rng = random.Random(7009)
+        graphs = [random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.8])) for _ in range(60)]
+        graphs = [g for g in graphs if g.m <= 12] + [grid_graph(3, 3)]
+        for g in graphs:
+            salt = rng.random()
+
+            def cut(cls, r):
+                return random.Random(f"{salt}/{cls}/{r}").random() < 0.2
+
+            for size in range(5):
+                want = [(f, cls) for f, cls in forest_sets(g, size)
+                        if not any(cut(tuple(_class_map(g, f[:j])), size - j) for j in range(1, size + 1))]
+                assert list(forest_sets(g, size, cut)) == want, (g, size)
+
     def test_enumerate_matches_the_reference(self):
         rng = random.Random(7006)
         graphs = []
@@ -274,6 +293,64 @@ class TestClassDecision:
                     assert fits(f, cls) == (opt <= budget), (g, f, budget)
 
 
+@st.composite
+def _forest_prefixes(draw):
+    """A small graph and an acyclic edge set of it, kept from a random
+    order of the graph's edges as each joins two classes."""
+    g = draw(_small_graphs())
+    prefix = []
+    for u, v in draw(st.permutations(g.sorted_edges()))[:draw(st.integers(min_value=0, max_value=4))]:
+        cls = _class_map(g, prefix)
+        if cls[u] != cls[v]:
+            prefix.append((u, v))
+    return g, sorted(prefix)
+
+
+def _lp_optimum_doubled(g, cls) -> int:
+    """Twice the vertex-cover LP optimum of the quotient by ``cls``, by
+    trying every half-integral cover of its vertices with an edge: the LP
+    has a half-integral optimum (Nemhauser and Trotter)."""
+    qedges = {(min(cls[u], cls[v]), max(cls[u], cls[v])) for u, v in g.edges if cls[u] != cls[v]}
+    verts = sorted({v for e in qedges for v in e})
+    pos = {v: i for i, v in enumerate(verts)}
+    best = 2 * len(verts)
+    for y in product((0, 1, 2), repeat=len(verts)):
+        if sum(y) < best and all(y[pos[a]] + y[pos[b]] >= 2 for a, b in qedges):
+            best = sum(y)
+    return best
+
+
+class TestLpBound:
+    @given(_forest_prefixes())
+    @settings(max_examples=150, deadline=None)
+    def test_refuses_exactly_above_the_lp_optimum(self, case):
+        """The bound refuses a class map at budget b exactly when the
+        quotient's LP optimum exceeds b, and then the quotient has no cover
+        within b."""
+        g, prefix = case
+        cls = _class_map(g, prefix)
+        lp2 = _lp_optimum_doubled(g, cls)
+        for b in range(g.n + 1):
+            refused = _lp_exceeds(g.sorted_edges(), cls, b)
+            assert refused == (lp2 > 2 * b), (g, prefix, b)
+            if refused:
+                assert vc_branching(contract_keeping_ids(g, cls), b) is None, (g, prefix, b)
+
+    @given(_forest_prefixes(), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=150, deadline=None)
+    def test_a_refused_prefix_has_no_extension_within_budget(self, case, r):
+        """When the bound refuses a prefix at b + r, contracting any r more
+        edges of g leaves a quotient whose cover exceeds b: one contraction
+        lowers the LP optimum by at most one."""
+        g, prefix = case
+        cls = _class_map(g, prefix)
+        for b in range(g.n + 1):
+            if _lp_exceeds(g.sorted_edges(), cls, b + r):
+                for more in combinations(g.sorted_edges(), r):
+                    quotient = contract_keeping_ids(g, _class_map(g, prefix + list(more)))
+                    assert vc_branching(quotient, b) is None, (g, prefix, more, b)
+
+
 def _relabelled(rng, g):
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -296,69 +373,109 @@ class TestWarmStart:
             survivors = [v for v in left if v in alive]
             want = len(maximum_matching(g, survivors, alive)) // 2
             start = {u: w for u, w in full.items() if u in alive and w in alive}
-            got = vertex_cover._augment(g, survivors, alive, dict(start), g.n)
+            got = vertex_cover._augment(g.adj, survivors, alive, dict(start), g.n)
             assert len(got) // 2 == want, (g, alive)
-            assert vertex_cover._augment(g, left, alive, dict(start), g.n) == got, (g, alive)
+            assert vertex_cover._augment(g.adj, left, alive, dict(start), g.n) == got, (g, alive)
             assert all(got[w] == u and w in g.adj[u] and u in alive for u, w in got.items()), (g, alive)
             grown += want > len(start) // 2
             for limit in range(len(start) // 2, want + 1):
-                got = vertex_cover._augment(g, survivors, alive, dict(start), limit)
+                got = vertex_cover._augment(g.adj, survivors, alive, dict(start), limit)
                 assert len(got) // 2 == min(want, limit + 1), (g, alive, limit)
         assert grown >= 100, grown
+
+
+def _counted_calls(monkeypatch) -> dict[str, int]:
+    """Counters of the enumeration's steps, filled while the test runs: the
+    sets ``forest_sets`` yields, the LP bound's calls and refusals, the
+    decisions and the solver calls beneath them.  Each counter wraps the
+    module attribute its caller resolves, so ``augment`` counts the split
+    loop's calls and ``lp_augment`` the LP bound's."""
+    calls = {"full": 0, "bipartite": 0, "setup": 0, "splits": 0, "fits": 0, "sets": 0,
+             "bounds": 0, "cut": 0, "contract_set": 0, "contract_keeping_ids": 0, "bipartition": 0,
+             "maximum_matching": 0, "augment": 0, "lp_augment": 0}
+    decision = contraction_vc._class_decision
+    sets, exceeds = contraction_vc.forest_sets, contraction_vc._lp_exceeds
+
+    def counted_sets(*args):
+        for item in sets(*args):
+            calls["sets"] += 1
+            yield item
+
+    def counted_exceeds(*args):
+        cut = exceeds(*args)
+        calls["bounds"] += 1
+        calls["cut"] += cut
+        return cut
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(contraction_vc, "_class_decision", lambda *args: counted("fits", decision(*args)))
+    monkeypatch.setattr(contraction_vc, "forest_sets", counted_sets)
+    monkeypatch.setattr(contraction_vc, "_lp_exceeds", counted_exceeds)
+    for module, name, key in [
+        (vertex_cover, "vc_with_modulator", "full"), (vertex_cover, "vc_bipartite", "bipartite"),
+        (contraction_vc, "_modulator_setup", "setup"), (contraction_vc, "_modulator_splits", "splits"),
+        (contraction_vc, "contract_set", "contract_set"),
+        (contraction_vc, "contract_keeping_ids", "contract_keeping_ids"),
+        (vertex_cover, "bipartition", "bipartition"),
+        (vertex_cover, "maximum_matching", "maximum_matching"), (vertex_cover, "_augment", "augment"),
+        (contraction_vc, "_augment", "lp_augment"),
+    ]:
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    return calls
 
 
 class TestEnumerationCalls:
     def test_grid_enumeration_decides_each_quotient(self, monkeypatch):
         """On grid 4x4 at k = 5, d = 3 the enumeration solves no full
         modulator cover and extracts no König cover: its target is the
-        smallest split of the anchors.  Of the 5,388 acyclic sets it walks,
-        the matching bound refuses all but 960, and each of those is decided
-        on g through the class map ``forest_sets`` holds: no quotient is
-        built.  One set-up colours and matches g - anchors from nothing,
-        and every split matching, the target's among them, is warm-started
-        from it.  Each counter wraps the module attribute its caller
-        resolves."""
-        calls = {"full": 0, "bipartite": 0, "setup": 0, "splits": 0, "fits": 0, "sets": 0,
-                 "cut": 0, "contract_set": 0, "contract_keeping_ids": 0, "bipartition": 0,
-                 "maximum_matching": 0, "augment": 0}
-        decision = contraction_vc._class_decision
-        sets, exceeds = contraction_vc.forest_sets, contraction_vc._matching_exceeds
-
-        def counted_sets(*args):
-            for item in sets(*args):
-                calls["sets"] += 1
-                yield item
-
-        def counted_exceeds(*args):
-            cut = exceeds(*args)
-            calls["cut"] += cut
-            return cut
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        monkeypatch.setattr(contraction_vc, "_class_decision", lambda *args: counted("fits", decision(*args)))
-        monkeypatch.setattr(contraction_vc, "forest_sets", counted_sets)
-        monkeypatch.setattr(contraction_vc, "_matching_exceeds", counted_exceeds)
-        for module, name, key in [
-            (vertex_cover, "vc_with_modulator", "full"), (vertex_cover, "vc_bipartite", "bipartite"),
-            (contraction_vc, "_modulator_setup", "setup"), (contraction_vc, "_modulator_splits", "splits"),
-            (contraction_vc, "contract_set", "contract_set"),
-            (contraction_vc, "contract_keeping_ids", "contract_keeping_ids"),
-            (vertex_cover, "bipartition", "bipartition"),
-            (vertex_cover, "maximum_matching", "maximum_matching"), (vertex_cover, "_augment", "augment"),
-        ]:
-            monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+        smallest split of the anchors.  The LP bound cuts the walk down to
+        one set, the witness, decided on g through the class map
+        ``forest_sets`` holds: no quotient is built.  One set-up colours and matches g - anchors
+        from nothing, and every split matching, the target's among them, is
+        warm-started from it."""
+        calls = _counted_calls(monkeypatch)
         dec = algorithm1(grid_graph(4, 4), 5, 3)
         assert dec.answer and dec.trace == "enumeration-yes"
         assert dec.witness == ((1, 2), (1, 5), (4, 5), (4, 8))
         assert calls["full"] == 0 and calls["bipartite"] == 0, calls
-        assert calls["sets"] == 5388 and calls["fits"] == 960, calls
-        assert calls["sets"] - calls["fits"] == calls["cut"], calls
+        assert calls["sets"] == 1 and calls["fits"] == 1, calls
+        assert calls["bounds"] == 583 and calls["cut"] == 532 and calls["lp_augment"] == 480, calls
         assert calls["setup"] == 1 and calls["splits"] == 1 + calls["fits"], calls
         assert calls["contract_set"] == 0 and calls["contract_keeping_ids"] == 0, calls
         assert calls["bipartition"] == 1 and calls["maximum_matching"] == 1, calls
-        assert calls["augment"] - calls["maximum_matching"] == 368, calls
+        assert calls["augment"] - calls["maximum_matching"] == 2, calls
+
+    def test_cycle_enumeration_runs_the_split_loop_once(self, monkeypatch):
+        """C10 has cover number 5, so at k = 3, d = 2 the target is 3.  A
+        quotient of C10 by j <= 3 edges is C(10 - j), whose LP optimum
+        (10 - j) / 2 exceeds 3, so the LP bound cuts every set the walk
+        reaches, at a leaf or at a prefix, and the split loop runs once, for
+        the target.  The cycle is relabelled so that its sorted edges are
+        not its walk order."""
+        calls = _counted_calls(monkeypatch)
+        dec = algorithm1(_relabelled_cycle(random.Random(7008), 10), 3, 2)
+        assert (dec.answer, dec.trace) == (False, "enumeration-no")
+        assert calls["sets"] == 0 and calls["fits"] == 0, calls
+        assert calls["bounds"] == 173 and calls["cut"] == 129, calls
+        assert calls["splits"] == 1, calls
+
+
+class TestLargeWitnesses:
+    @pytest.mark.parametrize("g, want", [
+        (grid_graph(5, 5), ((1, 6), (5, 6), (6, 7), (6, 11))),
+        (grid_graph(4, 6), ((1, 2), (1, 7), (6, 7), (6, 12))),
+        (cycle_graph(20), None),
+    ], ids=["grid5x5", "grid4x6", "C20"])
+    def test_witness_at_k5_d3(self, g, want):
+        """At sizes the reference enumeration does not reach, where the LP
+        bound cuts most of the walk, the first set in the witness order is
+        still the one found.  C20 answers NO: its target is 10 - 3 = 7, and
+        five contractions leave at least C15, whose cover number is 8."""
+        dec = algorithm1(g, 5, 3)
+        assert dec.witness == want
+        assert dec.trace == ("enumeration-no" if want is None else "enumeration-yes")

@@ -219,8 +219,10 @@ class TestBipartite:
         g = path_graph(3)
         assert vertex_cover.maximum_matching(g, [-1]) == {}
         assert vertex_cover.maximum_matching(g, [5]) == {}
-        with pytest.raises(IndexError):
-            vertex_cover.maximum_matching(g, [7], [7])
+        for allowed in ([7], [0, 3], [-1, 1]):
+            with pytest.raises(ValueError, match="vertex out of range"):
+                vertex_cover.maximum_matching(g, [7], allowed)
+        assert vertex_cover.maximum_matching(g, [1], [0, 1]) == {0: 1, 1: 0}
 
     def test_koenig_self_check_raises(self, monkeypatch):
         # a matching smaller than the cover must fail loudly, also under python -O
