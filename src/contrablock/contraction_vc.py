@@ -147,15 +147,15 @@ def _lp_exceeds(edges, cls, budget: int) -> bool:
     ``edges`` onto exceeds ``budget``; the cover number is at least that
     optimum, so then no cover of the quotient fits the budget.
 
-    Two cheap answers come first.  At most 2 * budget classes fit, each at
+    Cheap answers come first.  At most 2 * budget classes fit, each at
     value 1/2.  A greedy maximal matching with more than ``budget`` edges
     does not, since each of its edges needs its own cover vertex, and one
     whose ends number at most ``budget`` fits, since its ends cover the
     quotient.  Otherwise the LP optimum is half a maximum matching of the
-    quotient's bipartite double cover (Nemhauser and Trotter), on which a
-    vertex a of the n = len(cls) is a on the left and n + a on the right:
-    the doubled greedy matching is grown there by ``_augment``, which stops
-    once it has more than 2 * budget pairs."""
+    quotient's bipartite double cover (Nemhauser and Trotter), on which
+    each of the n = len(cls) vertices a is a on the left and n + a on the
+    right: the doubled greedy matching is grown there by ``_augment``,
+    which stops once it has more than 2 * budget pairs."""
     n = len(cls)
     if len(set(cls)) <= 2 * budget:
         return False
