@@ -26,7 +26,7 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
-from .vertex_cover import _augment, _modulator_setup, _modulator_splits, vc_branching
+from .vertex_cover import _augment, _modulator_splits, vc_branching
 
 TRACES = (
     "trivial-no",
@@ -301,23 +301,20 @@ def dp_min_contract(g: Graph, d: int, paper_convention: bool = False):
     return _dp_with_witness(g, d, paper_convention, sizes)[0]
 
 
-def _class_decision(g: Graph, anchors, budget: int, rest, left, start):
+def _class_decision(g: Graph, anchors, budget: int):
     """``fits(f, cls)``: whether contracting the edge set ``f``, whose class
-    map is ``cls``, leaves a vertex cover of at most ``budget``.  ``rest``,
-    ``left`` and ``start`` are ``_modulator_setup``'s colouring and
-    matching of ``g - anchors``, made once for every set.
+    map is ``cls``, leaves a vertex cover of at most ``budget``.
 
     Each class of two or more vertices holds an edge of f, so every vertex
     outside ``anchors`` and V(f) is a class of its own: the quotient minus
     the classes of those vertices is ``g`` minus them, a bipartite induced
-    subgraph of ``g - anchors``.  Those classes are the modulator, and the
-    split loop takes the set-up of ``g - anchors`` as built."""
+    subgraph of ``g - anchors``.  Those classes are the modulator."""
 
     def fits(f, cls):
         groups: dict[int, list[int]] = {}
         for v in sorted(set(anchors).union(*f)):
             groups.setdefault(cls[v], []).append(v)
-        return any(True for _ in _modulator_splits(g, list(groups.values()), budget, rest, left, start))
+        return any(True for _ in _modulator_splits(g, list(groups.values()), budget))
 
     return fits
 
@@ -326,15 +323,12 @@ def _enumerate(g: Graph, k: int, d: int, low_bc_witness) -> tuple[Edge, ...] | N
     """The first edge set of at most k edges, by size and then in sorted
     order, whose contraction drops the cover number by d, or None.  Every
     cover question goes through the modulator built from the bc witness
-    plus merged classes, over one colouring and matching of g minus the
-    witness ends: g's own cover number is the smallest split of the
+    plus merged classes: g's own cover number is the smallest split of the
     anchors, and each edge set only asks, on g, whether the cover of its
     contraction fits the target."""
     anchors = sorted({v for e in low_bc_witness for v in e})
-    groups = [[v] for v in anchors]
-    setup = _modulator_setup(g, groups)
-    target = min(size for size, _, _ in _modulator_splits(g, groups, g.n, *setup)) - d
-    fits = _class_decision(g, anchors, target, *setup)
+    target = min(size for size, _, _ in _modulator_splits(g, [[v] for v in anchors], g.n)) - d
+    fits = _class_decision(g, anchors, target)
     return _first_drop(g, range(d, k + 1), target, fits)  # each contraction drops the cover by <= 1
 
 

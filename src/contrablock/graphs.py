@@ -13,6 +13,11 @@ from functools import cached_property
 
 Edge = tuple[int, int]
 
+# The most vertices a graph file may announce: each vertex costs about 320
+# bytes, so 10**6 vertices take about 300 MB, and a 13-byte header cannot ask
+# for hundreds of gigabytes.
+MAX_VERTICES = 10**6
+
 
 class GraphFormatError(ValueError):
     """Malformed graph text; ``line`` is the 1-based offending line number."""
@@ -122,6 +127,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError("non-integer header field", lineno) from None
             if n < 0 or m < 0:
                 raise GraphFormatError("negative count in header", lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(f"vertex count {n} exceeds the limit {MAX_VERTICES}", lineno)
             continue
         if len(parts) != 2:
             raise GraphFormatError("expected edge 'u v'", lineno)

@@ -185,40 +185,34 @@ def vc_bipartite(g: Graph, allowed=None) -> CoverResult:
     return CoverResult(len(cover), frozenset(cover))
 
 
-def _modulator_setup(g: Graph, groups):
-    """(rest, left, start) for ``_modulator_splits`` over ``groups``,
-    disjoint vertex lists of g: ``rest`` holds every other vertex, ``left``
-    is one side of its colouring and ``start`` a maximum matching of it.
-    ValueError when ``rest`` is not bipartite."""
-    rest = set(range(g.n)).difference(*groups)
-    sides = bipartition(g, rest)
-    if sides is None:
-        raise ValueError("graph minus modulator is not bipartite")
-    return rest, sides[0], maximum_matching(g, sides[0], rest)
-
-
-def _modulator_splits(g: Graph, groups, budget: int, rest, left, start: dict[int, int]):
+def _modulator_splits(g: Graph, groups, budget: int):
     """Each split of a bipartite modulator whose cover fits ``budget``, in
     mask order, as (size, taken, remaining).
 
     The modulator is ``groups``, disjoint vertex lists of g, each one vertex
     of the graph made by contracting it; a group's neighbours are the union
-    of its members' neighbours in g.  Every other vertex is in ``rest``, once
-    the groups' vertices are removed from it here, and ``left`` is one side
-    of its colouring.  A split puts some groups in the cover, and each group
-    left out forces its neighbours in.  ``taken`` holds the members of the
-    groups inside and the forced vertices, ``remaining`` the vertices of
-    ``rest`` still to cover, and ``size`` the split's minimum cover: one per
-    group inside, one per forced vertex, plus a maximum matching of
-    ``remaining`` (König).  So the smallest size is the cover number of that
-    contracted graph, and a first split answers whether it fits ``budget``;
-    no cover is built.  No size exceeds ``g.n``, a budget that refuses none.
+    of its members' neighbours in g.  Every other vertex is in ``rest``,
+    which must be bipartite (ValueError, raised on the first step whatever
+    the budget).  A split puts some groups in the cover, and each group left
+    out forces its neighbours in.  ``taken`` holds the members of the groups
+    inside and the forced vertices, ``remaining`` the vertices of ``rest``
+    still to cover, and ``size`` the split's minimum cover: one per group
+    inside, one per forced vertex, plus a maximum matching of ``remaining``
+    (König).  So the smallest size is the cover number of that contracted
+    graph, and a first split answers whether it fits ``budget``; no cover is
+    built.  No size exceeds ``g.n``, a budget that refuses none.
 
-    Each split's matching starts from the pairs of ``start``, a matching of
-    g, that lie inside ``remaining``.  A split whose forced part alone, or
-    with its starting matching, already exceeds ``budget`` is refused
-    unsized, and the others stop augmenting as soon as they exceed it."""
-    rest = rest.difference(*groups)
+    One maximum matching of ``rest`` is taken, and each split's matching
+    starts from its pairs that lie inside ``remaining``.  A split whose
+    forced part plus that starting matching already exceeds ``budget`` is
+    refused unsized, and the others stop augmenting as soon as they exceed
+    it."""
+    rest = set(range(g.n)).difference(*groups)
+    sides = bipartition(g, rest)
+    if sides is None:
+        raise ValueError("graph minus modulator is not bipartite")
+    left = sides[0]
+    start = maximum_matching(g, left, rest)
     member = {v: i for i, grp in enumerate(groups) for v in grp}
     forces: list[set[int]] = []  # each group's neighbours in rest
     links: set[int] = set()  # the two bits of each pair of adjacent groups
@@ -226,17 +220,12 @@ def _modulator_splits(g: Graph, groups, budget: int, rest, left, start: dict[int
         out = set().union(*(g.adj[v] for v in grp))
         forces.append(out & rest)
         links.update(1 << i | 1 << member[w] for w in out if member.get(w, i) != i)
-    base = {u: w for u, w in start.items() if u in rest and w in rest}
     for mask in range(1 << len(groups)):
-        if mask.bit_count() > budget:
-            continue
         if not all(mask & link for link in links):
             continue  # an edge between two groups left out cannot be covered
         forced = set().union(*(forces[i] for i in range(len(groups)) if not mask >> i & 1))
         fixed = mask.bit_count() + len(forced)
-        if fixed > budget:
-            continue
-        match = dict(base)
+        match = dict(start)
         for v in forced:
             if v in match:
                 del match[match.pop(v)]
@@ -259,9 +248,7 @@ def vc_with_modulator(g: Graph, modulator) -> CoverResult:
     for v in b:
         if not 0 <= v < g.n:
             raise ValueError(f"modulator vertex {v} out of range")
-    groups = [[v] for v in b]
-    _, taken, remaining = min(_modulator_splits(g, groups, g.n, *_modulator_setup(g, groups)),
-                              key=lambda split: split[0])
+    _, taken, remaining = min(_modulator_splits(g, [[v] for v in b], g.n), key=lambda split: split[0])
     cover = taken | vc_bipartite(g, remaining).cover
     return CoverResult(len(cover), frozenset(cover))
 
@@ -273,5 +260,4 @@ def vc_after_contraction(g: Graph, e) -> int:
     built."""
     if bipartition(g) is None:
         raise ValueError("graph is not bipartite")
-    groups = [list(checked_edges(g, [e])[0])]
-    return min(size for size, _, _ in _modulator_splits(g, groups, g.n, *_modulator_setup(g, groups)))
+    return min(size for size, _, _ in _modulator_splits(g, [list(checked_edges(g, [e])[0])], g.n))

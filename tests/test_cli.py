@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import contrablock
 from contrablock import contraction_vc, transversal
 from contrablock.cli import main
-from contrablock.graphs import Graph, cycle_graph, serialize_graph
+from contrablock.graphs import MAX_VERTICES, Graph, cycle_graph, serialize_graph
 from contrablock.reductions import (
     build_double_copy_instance,
     build_subdivided_clique_instance,
@@ -585,6 +586,30 @@ def test_stdout_is_independent_of_hash_seed(tmp_path):
         assert outs[0] == outs[1] and outs[0], argv
 
 
+OPTIMIZE_COMMANDS = [
+    ["contract-vc", "grid4x4.gr", "-k", "5", "-d", "3", "--witness"],  # enumeration-yes
+    ["tau", "petersen.gr", "--family", "oct"],
+    ["bc", "petersen.gr", "--max", "3"],
+    ["verify-claims", "unsat4.cnf", "--theorem", "1"],
+]
+
+
+def test_stdout_is_independent_of_optimize_and_hash_seed(tmp_path):
+    """Each command exits and prints alike under plain ``python`` and under
+    ``python -O``, which strips asserts, at two string-hash seeds each."""
+    for name, text in BYTE_IDENTITY_GRAPHS.items():
+        (tmp_path / name).write_text(text)
+    src = str(Path(contrablock.__file__).resolve().parents[1])
+    for argv in OPTIMIZE_COMMANDS:
+        runs = set()
+        for flags, seed in product([[], ["-O"]], ["0", "1"]):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, *flags, "-m", "contrablock.cli", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True)
+            runs.add((proc.returncode, proc.stdout))
+        assert len(runs) == 1 and next(iter(runs))[1], (argv, runs)
+
+
 @pytest.fixture(scope="module")
 def large_files(tmp_path_factory):
     """A 20,000-edge matching, 40 disjoint copies of K4, a G(30, 0.3) with
@@ -613,6 +638,18 @@ LARGE_INPUT_COMMANDS = [
     (["min-contract-vc", "g5.gr", "-d", "21", "--approx"], "INFEASIBLE"),
     (["tau", "p500.gr", "--family", "pattern:k2.gr"], "250"),
 ]
+
+
+@pytest.mark.parametrize("argv", [["vc", "huge.gr"], ["tau", "huge.gr", "--family", "fvs"],
+                                  ["bc", "huge.gr", "--max", "0"]], ids=lambda argv: argv[0])
+def test_a_huge_header_exits_2_at_once(tmp_path, argv):
+    # 13 bytes that announce 10**9 vertices, about 300 GB as neighbour sets
+    (tmp_path / "huge.gr").write_text("1000000000 0\n")
+    src = str(Path(contrablock.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "contrablock.cli", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=10)
+    error = f"error: huge.gr: line 1: vertex count 1000000000 exceeds the limit {MAX_VERTICES}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
 
 
 @pytest.mark.parametrize("argv, first", LARGE_INPUT_COMMANDS, ids=[" ".join(argv) for argv, _ in LARGE_INPUT_COMMANDS])

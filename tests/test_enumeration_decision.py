@@ -39,7 +39,7 @@ from contrablock.graphs import (
     induced_subgraph,
     is_connected,
 )
-from contrablock.vertex_cover import _modulator_setup, maximum_matching, vc_branching, vc_with_modulator
+from contrablock.vertex_cover import maximum_matching, vc_branching, vc_with_modulator
 
 from .conftest import grid_graph, random_bipartite_graph, random_connected_graph, random_graph
 
@@ -133,9 +133,8 @@ class TestModulatorDecision:
                 empty += not mod
                 opt = vc_with_modulator(g, mod).size
                 anchors = sorted(mod)
-                setup = _modulator_setup(g, [[v] for v in anchors])
                 for budget in range(opt - 2, opt + 3):
-                    fits = _class_decision(g, anchors, budget, *setup)
+                    fits = _class_decision(g, anchors, budget)
                     assert fits((), range(g.n)) == (opt <= budget), (g, mod, budget)
         assert empty >= 200
 
@@ -283,8 +282,7 @@ class TestClassDecision:
         anchors = sorted({v for e in low_bc_witness for v in e})
         target = vc_with_modulator(g, anchors).size - d
         budgets = range(target - 2, target + 3)
-        setup = _modulator_setup(g, [[v] for v in anchors])
-        decisions = [_class_decision(g, anchors, budget, *setup) for budget in budgets]
+        decisions = [_class_decision(g, anchors, budget) for budget in budgets]
         for size in range(2 * d):
             for f, cls in forest_sets(g, size):
                 modulator = {cls[v] for v in anchors} | {cls[u] for u, _ in f}
@@ -390,7 +388,7 @@ def _counted_calls(monkeypatch) -> dict[str, int]:
     decisions and the solver calls beneath them.  Each counter wraps the
     module attribute its caller resolves, so ``augment`` counts the split
     loop's calls and ``lp_augment`` the LP bound's."""
-    calls = {"full": 0, "bipartite": 0, "setup": 0, "splits": 0, "fits": 0, "sets": 0,
+    calls = {"full": 0, "bipartite": 0, "splits": 0, "fits": 0, "sets": 0,
              "bounds": 0, "cut": 0, "contract_set": 0, "contract_keeping_ids": 0, "bipartition": 0,
              "maximum_matching": 0, "augment": 0, "lp_augment": 0}
     decision = contraction_vc._class_decision
@@ -418,7 +416,7 @@ def _counted_calls(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(contraction_vc, "_lp_exceeds", counted_exceeds)
     for module, name, key in [
         (vertex_cover, "vc_with_modulator", "full"), (vertex_cover, "vc_bipartite", "bipartite"),
-        (contraction_vc, "_modulator_setup", "setup"), (contraction_vc, "_modulator_splits", "splits"),
+        (contraction_vc, "_modulator_splits", "splits"),
         (contraction_vc, "contract_set", "contract_set"),
         (contraction_vc, "contract_keeping_ids", "contract_keeping_ids"),
         (vertex_cover, "bipartition", "bipartition"),
@@ -435,9 +433,10 @@ class TestEnumerationCalls:
         modulator cover and extracts no König cover: its target is the
         smallest split of the anchors.  The LP bound cuts the walk down to
         one set, the witness, decided on g through the class map
-        ``forest_sets`` holds: no quotient is built.  One set-up colours and matches g - anchors
-        from nothing, and every split matching, the target's among them, is
-        warm-started from it."""
+        ``forest_sets`` holds: no quotient is built.  Each of the two
+        split-loop calls, the target's and the witness's, colours and matches
+        its own rest from nothing once, and warm-starts every split's
+        matching from it."""
         calls = _counted_calls(monkeypatch)
         dec = algorithm1(grid_graph(4, 4), 5, 3)
         assert dec.answer and dec.trace == "enumeration-yes"
@@ -445,9 +444,9 @@ class TestEnumerationCalls:
         assert calls["full"] == 0 and calls["bipartite"] == 0, calls
         assert calls["sets"] == 1 and calls["fits"] == 1, calls
         assert calls["bounds"] == 583 and calls["cut"] == 532 and calls["lp_augment"] == 480, calls
-        assert calls["setup"] == 1 and calls["splits"] == 1 + calls["fits"], calls
+        assert calls["splits"] == 1 + calls["fits"], calls
         assert calls["contract_set"] == 0 and calls["contract_keeping_ids"] == 0, calls
-        assert calls["bipartition"] == 1 and calls["maximum_matching"] == 1, calls
+        assert calls["bipartition"] == 2 and calls["maximum_matching"] == 2, calls
         assert calls["augment"] - calls["maximum_matching"] == 2, calls
 
     def test_cycle_enumeration_runs_the_split_loop_once(self, monkeypatch):

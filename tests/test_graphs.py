@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contrablock.graphs as graph_module
 from contrablock.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
     bfs,
@@ -104,6 +106,17 @@ class TestParsing:
         with pytest.raises(GraphFormatError) as err:
             parse_graph(text)
         assert str(err.value) == message
+
+    def test_refuses_a_vertex_count_above_the_limit(self, monkeypatch):
+        # the header is refused before any vertex is allocated, naming its line
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(f"# big\n{MAX_VERTICES + 1} 0\n")
+        assert (err.value.line, str(err.value)) == (
+            2, f"line 2: vertex count {MAX_VERTICES + 1} exceeds the limit {MAX_VERTICES}")
+        monkeypatch.setattr(graph_module, "MAX_VERTICES", 5)
+        assert parse_graph("5 1\n0 4\n") == Graph.from_edges(5, [(0, 4)])
+        with pytest.raises(GraphFormatError, match="^line 1: vertex count 6 exceeds the limit 5$"):
+            parse_graph("6 0\n")
 
     def test_validates_each_edge_once(self, monkeypatch):
         # parse_graph checks every edge line itself, so it builds the Graph

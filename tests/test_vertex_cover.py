@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contrablock import graphs, vertex_cover
 from contrablock.graphs import (
@@ -9,8 +11,10 @@ from contrablock.graphs import (
     complete_graph,
     connected_components,
     contract_edge,
+    contract_keeping_ids,
     cycle_graph,
     path_graph,
+    shortest_odd_cycle,
 )
 from contrablock.vertex_cover import (
     vc_after_contraction,
@@ -265,14 +269,12 @@ class TestModulator:
 
 
 def _random_groups(rng, g):
-    """Disjoint vertex groups of one to three vertices, and a set-up of g
-    over singletons inside them, as the enumeration's ``fits`` builds them:
-    the set-up's vertices are grown until the rest of g is bipartite, and
-    the groups hold them plus a few more vertices."""
+    """Disjoint vertex groups of one to three vertices, as the enumeration's
+    ``fits`` builds them: a vertex set is grown until the rest of g is
+    bipartite, and the groups hold it plus a few more vertices."""
     mod = {v for v in range(g.n) if rng.random() < 0.15}
     while bipartition(g, set(range(g.n)) - mod) is None:
         mod.add(rng.choice(sorted(set(range(g.n)) - mod)))
-    setup = vertex_cover._modulator_setup(g, [[v] for v in sorted(mod)])
     members = sorted(mod | {v for v in range(g.n) if rng.random() < 0.15})
     rng.shuffle(members)
     groups = []
@@ -280,7 +282,7 @@ def _random_groups(rng, g):
         cut = rng.randint(1, 3)
         groups.append(sorted(members[:cut]))
         members = members[cut:]
-    return groups, setup
+    return groups
 
 
 class TestSplitBudget:
@@ -294,7 +296,7 @@ class TestSplitBudget:
         merged = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.35, 0.5]))
-            groups, setup = _random_groups(rng, g)
+            groups = _random_groups(rng, g)
             merged += any(len(grp) > 1 for grp in groups)
             rest = set(range(g.n)).difference(*groups)
             want = []
@@ -307,12 +309,61 @@ class TestSplitBudget:
                 inside = {v for i, grp in enumerate(groups) if mask >> i & 1 for v in grp}
                 size = mask.bit_count() + len(forced) + vc_bipartite(g, rest - forced).size
                 want.append((size, inside | forced, rest - forced))
-            full = list(vertex_cover._modulator_splits(g, groups, g.n, *setup))
+            full = list(vertex_cover._modulator_splits(g, groups, g.n))
             assert full == want, (g, groups)
             for budget in range(-1, g.n + 1):
-                got = list(vertex_cover._modulator_splits(g, groups, budget, *setup))
+                got = list(vertex_cover._modulator_splits(g, groups, budget))
                 assert got == [split for split in full if split[0] <= budget], (g, groups, budget)
         assert merged >= 100, merged
+
+
+@st.composite
+def _grouped_graphs(draw, odd_rest=False):
+    """A graph of at most 8 vertices and up to three disjoint vertex groups,
+    each vertex drawn into a group or the rest; with ``odd_rest`` three
+    vertices of the rest span a triangle."""
+    n = draw(st.integers(3 if odd_rest else 1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    labels = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    if odd_rest:
+        a, b, c = sorted(draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)))
+        edges |= {(a, b), (b, c), (a, c)}
+        labels[a] = labels[b] = labels[c] = -1
+    groups = [[v for v in range(n) if labels[v] == i] for i in range(3)]
+    return Graph.from_edges(n, sorted(edges)), [grp for grp in groups if grp]
+
+
+class TestSplitProperties:
+    @given(_grouped_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_split_is_the_quotient_cover_number(self, drawn):
+        """Once a vertex of each odd cycle of the rest joins as a group of
+        its own, the smallest split is the cover number of g with each group
+        contracted to its minimum, by the exact branching search, and a
+        budget admits a split exactly when that number fits it."""
+        g, groups = drawn
+        rest = set(range(g.n)).difference(*groups)
+        while (cycle := shortest_odd_cycle(g, rest)) is not None:
+            groups.append([cycle[0]])
+            rest.discard(cycle[0])
+        cls = list(range(g.n))
+        for grp in groups:
+            for v in grp:
+                cls[v] = min(grp)
+        want = vc_branching(contract_keeping_ids(g, cls)).size
+        assert min(size for size, _, _ in vertex_cover._modulator_splits(g, groups, g.n)) == want
+        for budget in (want - 1, want):
+            fits = any(True for _ in vertex_cover._modulator_splits(g, groups, budget))
+            assert fits == (want <= budget), budget
+
+    @given(_grouped_graphs(odd_rest=True))
+    @settings(max_examples=100, deadline=None)
+    def test_an_odd_rest_raises_at_any_budget(self, drawn):
+        g, groups = drawn
+        for budget in (-1, 0, g.n):
+            with pytest.raises(ValueError, match="^graph minus modulator is not bipartite$"):
+                next(vertex_cover._modulator_splits(g, groups, budget))
 
 
 class TestAfterContraction:
