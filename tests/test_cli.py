@@ -571,43 +571,30 @@ BYTE_IDENTITY_COMMANDS = [
 ]
 
 
-def test_stdout_is_independent_of_hash_seed(tmp_path):
-    """Each command prints the same bytes under two string-hash seeds."""
-    for name, text in {**BYTE_IDENTITY_GRAPHS, "phi0.cnf": PHI0}.items():
-        (tmp_path / name).write_text(text)
-    src = str(Path(contrablock.__file__).resolve().parents[1])
-    for argv in BYTE_IDENTITY_COMMANDS:
-        outs = []
-        for seed in ("0", "1"):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
-            proc = subprocess.run([sys.executable, "-m", "contrablock.cli", *argv], cwd=tmp_path,
-                                  env=env, capture_output=True, check=True)
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1] and outs[0], argv
-
-
+# run under ``python -O`` too, which strips asserts
 OPTIMIZE_COMMANDS = [
-    ["contract-vc", "grid4x4.gr", "-k", "5", "-d", "3", "--witness"],  # enumeration-yes
+    ["contract-vc", "grid4x4.gr", "-k", "5", "-d", "3", "--witness"],
     ["tau", "petersen.gr", "--family", "oct"],
     ["bc", "petersen.gr", "--max", "3"],
     ["verify-claims", "unsat4.cnf", "--theorem", "1"],
 ]
 
 
-def test_stdout_is_independent_of_optimize_and_hash_seed(tmp_path):
-    """Each command exits and prints alike under plain ``python`` and under
-    ``python -O``, which strips asserts, at two string-hash seeds each."""
-    for name, text in BYTE_IDENTITY_GRAPHS.items():
+def test_stdout_is_independent_of_hash_seed(tmp_path):
+    """Each command prints the same bytes under two string-hash seeds, and
+    each of ``OPTIMIZE_COMMANDS`` also under ``python -O`` at both seeds."""
+    assert all(argv in BYTE_IDENTITY_COMMANDS for argv in OPTIMIZE_COMMANDS)
+    for name, text in {**BYTE_IDENTITY_GRAPHS, "phi0.cnf": PHI0}.items():
         (tmp_path / name).write_text(text)
     src = str(Path(contrablock.__file__).resolve().parents[1])
-    for argv in OPTIMIZE_COMMANDS:
-        runs = set()
-        for flags, seed in product([[], ["-O"]], ["0", "1"]):
+    for argv in BYTE_IDENTITY_COMMANDS:
+        outs = []
+        for flags, seed in product([[], ["-O"]] if argv in OPTIMIZE_COMMANDS else [[]], ["0", "1"]):
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
             proc = subprocess.run([sys.executable, *flags, "-m", "contrablock.cli", *argv], cwd=tmp_path,
-                                  env=env, capture_output=True)
-            runs.add((proc.returncode, proc.stdout))
-        assert len(runs) == 1 and next(iter(runs))[1], (argv, runs)
+                                  env=env, capture_output=True, check=True)
+            outs.append(proc.stdout)
+        assert len(set(outs)) == 1 and outs[0], argv
 
 
 @pytest.fixture(scope="module")
