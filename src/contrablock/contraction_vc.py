@@ -147,36 +147,29 @@ def _lp_exceeds(edges, cls, budget: int) -> bool:
     ``edges`` onto exceeds ``budget``; the cover number is at least that
     optimum, so then no cover of the quotient fits the budget.
 
-    Cheap answers come first.  At most 2 * budget classes fit, each at
-    value 1/2.  A greedy maximal matching with more than ``budget`` edges
-    does not, since each of its edges needs its own cover vertex, and one
-    whose ends number at most ``budget`` fits, since its ends cover the
-    quotient.  Otherwise the LP optimum is half a maximum matching of the
-    quotient's bipartite double cover (Nemhauser and Trotter), on which
-    each of the n = len(cls) vertices a is a on the left and n + a on the
-    right: the doubled greedy matching is grown there by ``_augment``,
-    which stops once it has more than 2 * budget pairs."""
+    The LP optimum is half a maximum matching of the quotient's bipartite
+    double cover (Nemhauser and Trotter), on which each of the n = len(cls)
+    vertices a is a on the left and n + a on the right.  At most 2 * budget
+    classes fit, each at value 1/2.  Otherwise one pass over ``edges``
+    builds the double cover and a greedy maximal matching of the quotient,
+    held doubled as the double cover's starting matching; one with more
+    than ``budget`` edges does not fit, since each of its edges needs its
+    own cover vertex, and the pass stops there.  The rest is grown by
+    ``_augment``, which stops once it has more than 2 * budget pairs."""
     n = len(cls)
     if len(set(cls)) <= 2 * budget:
         return False
-    partner: dict[int, int] = {}
-    for u, v in edges:
-        a, b = cls[u], cls[v]
-        if a != b and a not in partner and b not in partner:
-            partner[a], partner[b] = b, a
-            if len(partner) > 2 * budget:
-                return True
-    if len(partner) <= budget:
-        return False
     double: list[set[int]] = [set() for _ in range(n)]
+    match: dict[int, int] = {}
     for u, v in edges:
         a, b = cls[u], cls[v]
         if a != b:
             double[a].add(n + b)
             double[b].add(n + a)
-    match = {}
-    for a, b in partner.items():
-        match[a], match[n + b] = n + b, a
+            if a not in match and b not in match:
+                match[a], match[n + b], match[b], match[n + a] = n + b, a, n + a, b
+                if len(match) > 4 * budget:
+                    return True
     _augment(double, range(n), frozenset(range(2 * n)), match, 2 * budget)
     return len(match) > 4 * budget
 

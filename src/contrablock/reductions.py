@@ -481,7 +481,10 @@ def verify_claims(
     When the hitting number equals the threshold, no single contraction may
     lower it (scanned over all edges, or an evenly spaced sample on demand);
     when it exceeds the threshold, some contraction must lower it.
+    ``sample_edges`` and ``full_scan`` exclude each other (ValueError).
     """
+    if sample_edges is not None and full_scan:
+        raise ValueError("sample_edges and full_scan are mutually exclusive")
     if sample_edges is not None and sample_edges < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_edges}")
     phi: CleanFormula = inst.meta["formula"]

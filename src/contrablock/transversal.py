@@ -549,8 +549,6 @@ def _fvs_solve(adj, forbidden: frozenset[int], cap: int, todo=None) -> set[int] 
     ``adj`` was last reduced (all of them when None): none for a component
     of a reduced graph, the old neighbours of a deleted vertex, and a newly
     forbidden vertex itself, whose bypass forbidding may unblock."""
-    if cap < 0:
-        return None
     forced = _mg_reduce(adj, forbidden, todo)
     if forced is None or len(forced) > cap:
         return None

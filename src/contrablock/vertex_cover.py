@@ -52,8 +52,6 @@ def _min_cover(adj: dict[int, set[int]], cap: int) -> set[int] | None:
 
     if not adj:
         return picks
-    if len(picks) >= cap:
-        return None
     budget = cap - len(picks)
 
     # Every edge of a matching needs its own cover vertex, so a greedy
@@ -203,10 +201,10 @@ def _modulator_splits(g: Graph, groups, budget: int):
     built.  No size exceeds ``g.n``, a budget that refuses none.
 
     One maximum matching of ``rest`` is taken, and each split's matching
-    starts from its pairs that lie inside ``remaining``.  A split whose
-    forced part plus that starting matching already exceeds ``budget`` is
-    refused unsized, and the others stop augmenting as soon as they exceed
-    it."""
+    starts from its pairs that lie inside ``remaining`` and stops augmenting
+    as soon as its size exceeds ``budget``, so a split whose forced part
+    plus that starting matching already exceeds it is not augmented at all;
+    a split is refused only when its size exceeds ``budget``."""
     rest = set(range(g.n)).difference(*groups)
     sides = bipartition(g, rest)
     if sides is None:
@@ -229,8 +227,6 @@ def _modulator_splits(g: Graph, groups, budget: int):
         for v in forced:
             if v in match:
                 del match[match.pop(v)]
-        if fixed + len(match) // 2 > budget:
-            continue
         remaining = rest - forced
         _augment(g.adj, left, remaining, match, budget - fixed)
         size = fixed + len(match) // 2

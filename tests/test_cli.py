@@ -1,12 +1,18 @@
 import hashlib
+import io
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contrablock
 from contrablock import contraction_vc, transversal
@@ -645,3 +651,137 @@ def test_large_inputs_answer_within_seconds(large_files, argv, first):
     proc = subprocess.run([sys.executable, "-m", "contrablock.cli", *argv], cwd=large_files,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
     assert (proc.returncode, proc.stdout.split("\n", 1)[0]) == (0, first), proc.stderr
+
+
+# Drawn command lines: small, partly malformed graph and CNF files and random
+# subcommands and flags.  "{dir}" stands for the folder that holds the files:
+# g.gr and h.gr (graphs), f.cnf (a formula) and out (an output prefix);
+# missing.gr and missing.cnf are never written.
+_RARELY = st.sampled_from([False] * 5 + [True])
+_SMALL = st.sampled_from(["1", "2", "0", "3", "4"] * 3 + ["-1", "x", "1.5"])
+_FAMILIES = st.sampled_from(["fvs", "oct", "vc", "pattern:{dir}/h.gr"] * 3 + ["pattern:{dir}/missing.gr", "cycles"])
+_RELATION = ("--relation", st.sampled_from(["subgraph", "induced", "minor", "topo"] * 2 + ["none"]))
+_CLEAN_CNFS = [PHI0, "p cnf 2 3\n-1 -2 0\n1 2 0\n1 2 0\n", "p cnf 2 3\n-1 2 0\n1 -2 0\n1 2 0\n"]
+_GRAPH_FLAGS = {  # (required, optional) flags of each subcommand that reads g.gr
+    "vc": ([], [("--bipartite", None), ("--modulator", st.sampled_from(["0", "0,1", "", "0,x", "9"]))]),
+    "tau": ([("--family", _FAMILIES)], [_RELATION, ("--budget", _SMALL)]),
+    "bc": ([("--max", _SMALL)], []),
+    "contract-vc": ([("-k", _SMALL), ("-d", _SMALL)], [("--witness", None)]),
+    "min-contract-vc": ([("-d", _SMALL)], [("--approx", None), ("--brute", None), ("--cap", _SMALL),
+                                            ("--paper-convention", None)]),
+    "blocker-edge": ([("-e", st.sampled_from(["0,1"] * 4 + ["1,2", "0,2", "0,0", "9,1", "x"])),
+                      ("--family", _FAMILIES)], [_RELATION]),
+}
+_INSTANCE_FLAGS = {"--gadget": st.sampled_from(["c4", "{dir}/h.gr"]),
+                   "--clique": st.sampled_from(["3", "2", "0", "-1"]),
+                   "--path": st.sampled_from(["4", "2", "-1"])}
+
+
+@st.composite
+def _graph_texts(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)) if n else []
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    fault = draw(st.sampled_from([None] * 12 + ["range", "loop", "duplicate", "count", "header", "junk"]))
+    if fault == "range":
+        pairs.append((0, n))
+    elif fault == "loop":
+        pairs.append((0, 0))
+    elif fault == "duplicate" and pairs:
+        pairs.append(pairs[0][::-1])
+    header = {"count": f"{n} {len(pairs) + 1}", "header": draw(st.sampled_from([f"{n}", "x 1", "-1 0", f"{n} 0 0"]))}
+    lines = [header.get(fault, f"{n} {len(pairs)}"), *(f"{u} {v}" for u, v in pairs)]
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# comment"])))
+    if fault == "junk":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["1", "a b", "0 1 2", "\\x00"])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _cnf_texts(draw):
+    lines = draw(st.sampled_from(_CLEAN_CNFS)).splitlines()
+    if draw(_RARELY):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(["p cnf 3 3", "p cnf 2", "p dnf 2 3", "1 3 0", "1 2", "x 0", "0",
+                                         "c comment", "1 -1 0", "-2 -1 2 0"]))
+    return "\n".join(lines) + "\n"
+
+
+def _flags(draw, required, optional):
+    """The ``required`` (flag, values) pairs, one of them now and then
+    dropped, and each of the ``optional`` ones now and then, in drawn
+    order; a flag with values None is a switch."""
+    if required and draw(_RARELY):
+        required = required[1:]
+    chosen = required + [option for option in optional if draw(_RARELY)]
+    argv = []
+    for flag, values in draw(st.permutations(chosen)):
+        argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def _commands(draw):
+    command = draw(st.sampled_from([*_GRAPH_FLAGS, "reduce", "verify-claims"]))
+    if command in _GRAPH_FLAGS:
+        return [command, draw(st.sampled_from(["{dir}/g.gr"] * 9 + ["{dir}/missing.gr"])),
+                *_flags(draw, *_GRAPH_FLAGS[command])]
+    theorem = draw(st.sampled_from(["1", "2", "3"] * 3 + ["4"]))
+    own = {"2": ["--clique"], "3": ["--path"]}.get(theorem, [])
+    required = [("--theorem", st.just(theorem))] + [(flag, _INSTANCE_FLAGS[flag]) for flag in own]
+    optional = [(flag, values) for flag, values in _INSTANCE_FLAGS.items() if flag not in own]
+    if command == "reduce":
+        required.append(("-o", st.just("{dir}/out")))
+    else:
+        optional += [("--sample-edges", _SMALL), ("--full-scan", None)]
+    return [command, draw(st.sampled_from(["{dir}/f.cnf"] * 9 + ["{dir}/missing.cnf"])),
+            *_flags(draw, required, optional)]
+
+
+_CASES = st.tuples(_commands(), _graph_texts(), _graph_texts(), _cnf_texts())
+
+
+def _write_case(folder, graph, pattern, cnf):
+    for name, text in [("g.gr", graph), ("h.gr", pattern), ("f.cnf", cnf)]:
+        Path(folder, name).write_text(text)
+
+
+@given(_CASES)
+@settings(max_examples=400, deadline=None)
+def test_drawn_commands_exit_0_2_or_3(case):
+    """Every drawn command returns a documented exit code from ``main``,
+    with no other exception escaping, and prints a first stdout line of the
+    documented form exactly when it returns 0; argparse refuses a malformed
+    command line by exiting 2 itself."""
+    argv, *texts = case
+    with tempfile.TemporaryDirectory() as folder:
+        _write_case(folder, *texts)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([token.replace("{dir}", folder) for token in argv])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3), (argv, texts, code, err.getvalue())
+    first = out.getvalue().split("\n", 1)[0]
+    assert (code == 0) == bool(re.fullmatch(r"YES|NO|INFEASIBLE|\d+|[a-z_]+=\S+", first)), (argv, texts, code, first)
+
+
+@given(_CASES)
+@settings(max_examples=10, deadline=None)
+def test_drawn_commands_print_the_same_bytes_under_o_and_hash_seeds(case):
+    """A drawn command prints the same stdout bytes and exits the same way
+    under plain ``python`` and ``python -O``, each at two string-hash seeds."""
+    argv, *texts = case
+    src = str(Path(contrablock.__file__).resolve().parents[1])
+    runs = set()
+    with tempfile.TemporaryDirectory() as folder:
+        _write_case(folder, *texts)
+        for flags, seed in product([[], ["-O"]], ["0", "1"]):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, *flags, "-m", "contrablock.cli",
+                                   *(token.replace("{dir}", ".") for token in argv)],
+                                  cwd=folder, env=env, capture_output=True, timeout=60)
+            runs.add((proc.returncode, proc.stdout))
+    assert len(runs) == 1, (argv, texts, runs)
+    assert next(iter(runs))[0] in (0, 2, 3), (argv, texts, runs)

@@ -319,18 +319,21 @@ def _lp_optimum_doubled(g, cls) -> int:
 
 
 class TestLpBound:
-    @given(_forest_prefixes())
+    @given(_forest_prefixes(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_refuses_exactly_above_the_lp_optimum(self, case):
+    def test_refuses_exactly_above_the_lp_optimum(self, case, data):
         """The bound refuses a class map at budget b exactly when the
         quotient's LP optimum exceeds b, and then the quotient has no cover
-        within b."""
+        within b.  Its greedy starting matching follows the order of the
+        edges, so the answer is also asked with the edges shuffled."""
         g, prefix = case
         cls = _class_map(g, prefix)
         lp2 = _lp_optimum_doubled(g, cls)
+        shuffled = data.draw(st.permutations(g.sorted_edges()))
         for b in range(g.n + 1):
             refused = _lp_exceeds(g.sorted_edges(), cls, b)
             assert refused == (lp2 > 2 * b), (g, prefix, b)
+            assert _lp_exceeds(shuffled, cls, b) == refused, (g, prefix, shuffled, b)
             if refused:
                 assert vc_branching(contract_keeping_ids(g, cls), b) is None, (g, prefix, b)
 
@@ -436,7 +439,8 @@ class TestEnumerationCalls:
         ``forest_sets`` holds: no quotient is built.  Each of the two
         split-loop calls, the target's and the witness's, colours and matches
         its own rest from nothing once, and warm-starts every split's
-        matching from it."""
+        matching from it; every split is augmented, one of the three with a
+        starting matching already past its budget, which stops at once."""
         calls = _counted_calls(monkeypatch)
         dec = algorithm1(grid_graph(4, 4), 5, 3)
         assert dec.answer and dec.trace == "enumeration-yes"
@@ -447,7 +451,7 @@ class TestEnumerationCalls:
         assert calls["splits"] == 1 + calls["fits"], calls
         assert calls["contract_set"] == 0 and calls["contract_keeping_ids"] == 0, calls
         assert calls["bipartition"] == 2 and calls["maximum_matching"] == 2, calls
-        assert calls["augment"] - calls["maximum_matching"] == 2, calls
+        assert calls["augment"] - calls["maximum_matching"] == 3, calls
 
     def test_cycle_enumeration_runs_the_split_loop_once(self, monkeypatch):
         """C10 has cover number 5, so at k = 3, d = 2 the target is 3.  A

@@ -18,10 +18,12 @@ from contrablock.graphs import (
     contract_set,
     cycle_graph,
     depth_first,
+    path_graph,
     shallowest,
     shortest_odd_cycle,
 )
-from contrablock.transversal import odd_cycle_transversal
+from contrablock.transversal import HitFamily, feedback_vertex_set, min_transversal, odd_cycle_transversal
+from contrablock.vertex_cover import vc_branching
 
 from .conftest import disjoint_union, random_graph
 
@@ -176,6 +178,9 @@ def test_negative_budgets():
     with pytest.raises(ValueError, match="non-negative"):
         bc_decide(g, -1)
     assert odd_cycle_transversal(g, -1) is None
+    assert vc_branching(g, -1) is None
+    assert feedback_vertex_set(g, -1) is None
+    assert min_transversal(g, HitFamily.explicit([path_graph(3)], "subgraph"), -1) is None
 
 
 def test_shallowest_takes_the_first_goal_of_the_lowest_depth():

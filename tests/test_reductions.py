@@ -524,6 +524,11 @@ class TestVerifyClaims:
         with pytest.raises(ValueError, match="at least 1"):
             verify_claims(inst, sample_edges=count)
 
+    def test_sample_edges_and_full_scan_exclude_each_other(self):
+        inst = build_double_copy_instance(PHI0, cycle_graph(4))
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            verify_claims(inst, sample_edges=5, full_scan=True)
+
     def test_default_family_selection(self):
         assert default_family(build_double_copy_instance(PHI0, cycle_graph(4))).patterns == "all-cycles"
         assert default_family(build_subdivided_clique_instance(PHI0, 3)).patterns == "all-cycles"
